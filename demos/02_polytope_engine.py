@@ -2,7 +2,7 @@
 
 The engine works on small halfspace systems {x : A x + b >= 0}.  Vertices
 come from exhaustive subset intersection, adjacency from shared tight rows,
-and volumes from two independent algorithms (triangulation and the
+and volumes from two independent algorithms (qhull's hull volume and the
 vertex-sum formula for simple polytopes) that must agree.
 """
 
@@ -35,8 +35,8 @@ square = HalfspaceSystem(
 V = enumerate_vertices(square)
 adj = vertex_adjacency(square, V)
 print("vertices:", V.vertices.tolist())
-print("neighbors per vertex:", [len(n) for n in adj], "-> simple:", is_simple(square, V, adj))
-print("triangulation volume:", volume_triangulation(V)[0])
+print("neighbors per vertex:", [len(n) for n in adj], "-> simple:", is_simple(V, adj))
+print("hull volume:         ", volume_triangulation(V)[0])
 print("vertex-sum volume:   ", brion_volume(V, adj, xi=np.array([1.0, 2.0])))
 
 print("\n=== Accessible polytopes and their vertex counts ===")
@@ -54,7 +54,7 @@ print(f"hull of all {len(verts)} permutations of {lam.components}")
 mu = brion_volume(verts, adj)
 tri, dim = volume_triangulation(VertexSet(verts))
 print(f"  vertex-sum volume    = {mu:.12f}")
-print(f"  triangulation volume = {tri:.12f}  (dim {dim})")
+print(f"  hull volume          = {tri:.12f}  (dim {dim})")
 print(f"  closed form * d!     = {source_volume(lam) * math.factorial(lam.d):.12f}")
 
 print("\n=== Degenerate states break simplicity but not the closed form ===")

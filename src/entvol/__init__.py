@@ -10,7 +10,6 @@ witnesses; everything is cross-checked by Monte-Carlo oracles.
 
 from .schmidt import (
     SchmidtVector,
-    Permutation,
     canonicalize,
     embed,
     lu_equivalent,
@@ -21,12 +20,9 @@ from .schmidt import (
     sorted_region_volume,
 )
 from .polytope import (
-    BrionVertexData,
-    EmbeddingFrame,
     HalfspaceSystem,
     VertexSet,
     brion_volume,
-    convert_frame,
     enumerate_vertices,
     is_simple,
     vertex_adjacency,
@@ -71,11 +67,11 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SchmidtVector", "Permutation", "canonicalize", "embed", "lu_equivalent",
+    "SchmidtVector", "canonicalize", "embed", "lu_equivalent",
     "majorizes", "maximally_entangled", "partial_sum", "separable",
     "sorted_region_volume",
-    "BrionVertexData", "EmbeddingFrame", "HalfspaceSystem", "VertexSet",
-    "brion_volume", "convert_frame", "enumerate_vertices", "is_simple",
+    "HalfspaceSystem", "VertexSet",
+    "brion_volume", "enumerate_vertices", "is_simple",
     "vertex_adjacency", "volume_triangulation",
     "MeasureReport", "accessible_entanglement", "accessible_entanglement_k",
     "accessible_hrep", "accessible_vertices", "accessible_volume",

@@ -15,7 +15,7 @@ one minus the permutation sum.
 Accessible side (geometry).  After eliminating the last component by
 normalization, the accessible set is the polytope in R^(d-1) cut out by the
 d-1 majorization rows and the d ordering/positivity rows; its volume is found
-by vertex enumeration plus triangulation and converted to the intrinsic
+by vertex enumeration plus qhull's hull volume and converted to the intrinsic
 convention with the sqrt(d) Jacobian.
 """
 
@@ -27,16 +27,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionTooLarge, IndexOutOfRange, ShrinkNotAllowed
 from .polytope import (
-    EPS_GEOM,
-    EmbeddingFrame,
     HalfspaceSystem,
     VertexSet,
-    affine_dimension,
-    convert_frame,
     enumerate_vertices,
     volume_triangulation,
 )
@@ -76,7 +71,7 @@ class MeasureReport:
         }
 
 
-def _permutation_sum(lam: np.ndarray, cap: int = MAX_EXACT_DIM) -> float:
+def _permutation_sum(lam: np.ndarray) -> float:
     """The normalized vertex sum; equals V_s / V_s(separable).
 
     Terms alternate in sign, so each chunk is accumulated with exact
@@ -85,8 +80,8 @@ def _permutation_sum(lam: np.ndarray, cap: int = MAX_EXACT_DIM) -> float:
     chunks would reproduce the same value.
     """
     d = len(lam)
-    if d > cap:
-        raise DimensionTooLarge(f"d={d} exceeds the exact-sum cap {cap}")
+    if d > MAX_EXACT_DIM:
+        raise DimensionTooLarge(f"d={d} exceeds the exact-sum cap {MAX_EXACT_DIM}")
     shift = (d + 1) / 2.0
     perm_iter = itertools.permutations(range(1, d + 1))
     chunk_totals: list[float] = []
@@ -101,29 +96,23 @@ def _permutation_sum(lam: np.ndarray, cap: int = MAX_EXACT_DIM) -> float:
     return math.fsum(chunk_totals)
 
 
-def source_volume(lam: SchmidtVector, cap: int = MAX_EXACT_DIM) -> float:
+def source_volume(lam: SchmidtVector) -> float:
     """Intrinsic (d-1)-volume of the set of states that can reach ``lam``."""
-    d = lam.d
-    total = _permutation_sum(lam.as_array(), cap)
-    return total * math.sqrt(d) / (math.factorial(d) * math.factorial(d - 1))
+    return source_entanglement(lam).volume
 
 
-def source_entanglement(lam: SchmidtVector, cap: int = MAX_EXACT_DIM) -> MeasureReport:
+def source_entanglement(lam: SchmidtVector) -> MeasureReport:
     """Source entanglement; 0 on the separable state, 1 on the flat state."""
-    total = _permutation_sum(lam.as_array(), cap)
-    vol = total * sorted_region_volume(lam.d)
+    total = _permutation_sum(lam.as_array())
+    sup = sorted_region_volume(lam.d)
     return MeasureReport(
         quantity="source",
-        volume=vol,
+        volume=total * sup,
         dimension=lam.d - 1,
-        v_sup=sorted_region_volume(lam.d),
+        v_sup=sup,
         entanglement=1.0 - total,
         k=lam.d,
     )
-
-
-def _embedded_source_entanglement(lam: SchmidtVector, k: int) -> float:
-    return 1.0 - _permutation_sum(embed(lam, k).as_array())
 
 
 @lru_cache(maxsize=None)
@@ -132,29 +121,9 @@ def source_entanglement_sup(d: int, k: int) -> float:
 
     The flat state reaches every state of the same dimension by LOCC, and
     embedding preserves majorization, so monotonicity forces the supremum to
-    sit at the flat state.  A coarse grid plus a local refinement double-check
-    that numerically; the exact flat-state value is returned.
+    sit at the flat state; the exact flat-state value is returned.
     """
-    flat = maximally_entangled(d)
-    exact = _embedded_source_entanglement(flat, k)
-
-    best_grid = -math.inf
-    n_ticks = 10 if d <= 4 else 6
-    for comp in itertools.combinations_with_replacement(range(1, n_ticks + 1), d):
-        lam = SchmidtVector(tuple(sorted((c / sum(comp) for c in comp), reverse=True)))
-        best_grid = max(best_grid, _embedded_source_entanglement(lam, k))
-
-    def neg(y: np.ndarray) -> float:
-        w = np.exp(np.concatenate([y, [0.0]]))
-        lam = SchmidtVector(tuple(sorted(w / w.sum(), reverse=True)))
-        return -_embedded_source_entanglement(lam, k)
-
-    refined = -minimize(neg, np.zeros(d - 1), method="Nelder-Mead",
-                        options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12}).fun
-    found = max(best_grid, refined)
-    if found > exact + 1e-8:
-        return found  # conjectured maximizer beaten; trust the search
-    return exact
+    return source_entanglement(embed(maximally_entangled(d), k)).entanglement
 
 
 def source_entanglement_k(lam: SchmidtVector, k: int) -> MeasureReport:
@@ -162,14 +131,13 @@ def source_entanglement_k(lam: SchmidtVector, k: int) -> MeasureReport:
     if k < lam.d:
         raise ShrinkNotAllowed(f"k={k} smaller than d={lam.d}")
     sup = source_entanglement_sup(lam.d, k)
-    value = _embedded_source_entanglement(lam, k) / sup
-    big = embed(lam, k)
+    big = source_entanglement(embed(lam, k))
     return MeasureReport(
         quantity="source",
-        volume=source_volume(big),
+        volume=big.volume,
         dimension=k - 1,
         v_sup=sup,
-        entanglement=value,
+        entanglement=big.entanglement / sup,
         k=k,
     )
 
@@ -199,25 +167,6 @@ def source_polytope_adjacency(d: int) -> list[list[int]]:
             nbrs.append(index[q])
         adj.append(nbrs)
     return adj
-
-
-def source_polytope_hrep(lam: SchmidtVector) -> HalfspaceSystem:
-    """Projected H-representation: subset-sum caps, last coordinate eliminated."""
-    d = lam.d
-    E = np.cumsum(lam.as_array())
-    rows, offs = [], []
-    for size in range(1, d):
-        for S in itertools.combinations(range(d), size):
-            has_last = (d - 1) in S
-            a = np.zeros(d - 1)
-            for i in S:
-                if i < d - 1:
-                    a[i] -= 1.0
-            if has_last:
-                a += 1.0
-            rows.append(a)
-            offs.append(E[size - 1] - (1.0 if has_last else 0.0))
-    return HalfspaceSystem(np.array(rows), np.array(offs))
 
 
 # -- accessible set -----------------------------------------------------------
@@ -255,47 +204,50 @@ def _restricted_accessible_hrep(lam: SchmidtVector, k: int) -> HalfspaceSystem:
     return HalfspaceSystem(np.array(rows), np.array(offs))
 
 
+def _restricted_accessible_vertices(lam: SchmidtVector, k: int) -> VertexSet:
+    """Vertices of the accessible targets of rank <= k, in k-1 coordinates."""
+    if k == 1:
+        return VertexSet(np.zeros((1, 0)))  # the single target (1,)
+    return enumerate_vertices(_restricted_accessible_hrep(lam, k))
+
+
 def accessible_vertices(lam: SchmidtVector) -> VertexSet:
-    return enumerate_vertices(accessible_hrep(lam))
+    return _restricted_accessible_vertices(lam, lam.d)
+
+
+def _accessible_report(lam: SchmidtVector, k: int) -> MeasureReport:
+    """Enumerate the vertices, take the hull volume, apply the sqrt(k) Jacobian."""
+    vol_proj, dim = volume_triangulation(_restricted_accessible_vertices(lam, k))
+    vol = vol_proj * math.sqrt(k)
+    sup = sorted_region_volume(k)
+    value = vol / sup if dim == k - 1 else 0.0
+    return MeasureReport("accessible", vol, dim, sup, value, k)
 
 
 def accessible_volume(lam: SchmidtVector) -> tuple[float, int]:
     """Intrinsic volume of the accessible set and the dimension it lives in."""
-    if lam.d == 1:
-        return 0.0, 0
-    V = accessible_vertices(lam)
-    vol_proj, dim = volume_triangulation(V)
-    frame = EmbeddingFrame(lam.d, "projected")
-    return convert_frame(vol_proj, frame, "intrinsic"), dim
+    rep = _accessible_report(lam, lam.d)
+    return rep.volume, rep.dimension
 
 
 def accessible_entanglement(lam: SchmidtVector) -> MeasureReport:
     """Accessible entanglement: share of the sorted region reachable from lam."""
-    vol, dim = accessible_volume(lam)
-    sup = sorted_region_volume(lam.d)
-    value = vol / sup if dim == lam.d - 1 else 0.0
-    return MeasureReport("accessible", vol, dim, sup, value, lam.d)
+    return _accessible_report(lam, lam.d)
 
 
 def accessible_entanglement_k(lam: SchmidtVector, k: int) -> MeasureReport:
     """Accessible entanglement toward targets of Schmidt rank at most k <= d."""
     if not 2 <= k <= lam.d:
         raise IndexOutOfRange(f"need 2 <= k <= d={lam.d}, got {k}")
-    V = enumerate_vertices(_restricted_accessible_hrep(lam, k))
-    vol_proj, dim = volume_triangulation(V)
-    vol = convert_frame(vol_proj, EmbeddingFrame(k, "projected"), "intrinsic")
-    sup = sorted_region_volume(k)
-    value = vol / sup if dim == k - 1 else 0.0
-    return MeasureReport("accessible", vol, dim, sup, value, k)
+    return _accessible_report(lam, k)
 
 
-def guaranteed_vertices(lam: SchmidtVector, verify: bool = True) -> list[SchmidtVector]:
+def guaranteed_vertices(lam: SchmidtVector) -> list[SchmidtVector]:
     """The d-2 vertices of the accessible set that exist for every state.
 
     The i-th one keeps the first i-1 components, then repeats the i-th
     component as often as normalization allows, closes with the remainder and
-    pads with zeros.  Each is checked against the enumerated vertex set unless
-    ``verify`` is disabled.
+    pads with zeros.  Each is checked against the enumerated vertex set.
     """
     d = lam.d
     if d < 3:
@@ -311,30 +263,23 @@ def guaranteed_vertices(lam: SchmidtVector, verify: bool = True) -> list[Schmidt
             remaining -= step
         comps.extend([0.0] * (d - len(comps)))
         out.append(SchmidtVector(tuple(comps)))
-    if verify:
-        V = accessible_vertices(lam)
-        for v in out:
-            proj = v.as_array()[: d - 1]
-            if not any(np.linalg.norm(proj - w) <= 1e-8 for w in V.vertices):
-                raise AssertionError(f"constructed vertex {v} missing from the vertex set")
+    V = accessible_vertices(lam)
+    for v in out:
+        proj = v.as_array()[: d - 1]
+        if not any(np.linalg.norm(proj - w) <= 1e-8 for w in V.vertices):
+            raise AssertionError(f"constructed vertex {v} missing from the vertex set")
     return out
 
 
-def max_entangled_accessible(lam: SchmidtVector, k: int, verify: bool = True) -> bool:
+def max_entangled_accessible(lam: SchmidtVector, k: int) -> bool:
     """Whether the flat state of rank k is reachable from lam (iff lam_1 <= 1/k)."""
     if not 1 <= k <= lam.d:
         raise IndexOutOfRange(f"need 1 <= k <= d={lam.d}, got {k}")
     ok = lam.components[0] <= 1.0 / k + EPS_NORM
-    if ok and verify and k >= 2 and lam.d >= 2:
+    if ok and k >= 2 and lam.d >= 2:
         target = embed(maximally_entangled(k), lam.d).as_array()[: lam.d - 1]
         V = accessible_vertices(lam)
         if not any(np.linalg.norm(target - w) <= 1e-8 for w in V.vertices):
             raise AssertionError("flat state reachable but not a vertex; geometry inconsistent")
     return ok
 
-
-def accessible_dimension_full(lam: SchmidtVector) -> bool:
-    """True when the accessible set has full dimension d-1."""
-    if lam.d == 1:
-        return False
-    return affine_dimension(accessible_vertices(lam).vertices, EPS_GEOM) == lam.d - 1

@@ -70,6 +70,30 @@ def _parse_gammas(text: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _read_json(path: str, parse):
+    """``parse`` of the JSON payload in ``path`` ('-' for stdin).
+
+    A missing or unreadable file, malformed JSON and a payload without the
+    expected keys are usage errors.
+    """
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        return parse(json.loads(text))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot read {path!r}: {type(exc).__name__}: {exc}") from exc
+
+
 def _default_seed_params() -> fourqubit.SeedParams:
     d = math.sqrt(0.195)
     p = fourqubit.SeedParams(0.6, 0.5 + 0.1j, 0.25 - 0.35j, complex(d))
@@ -79,8 +103,7 @@ def _default_seed_params() -> fourqubit.SeedParams:
 
 def _load_form(args) -> fourqubit.FourQubitForm:
     if getattr(args, "state", None):
-        text = sys.stdin.read() if args.state == "-" else open(args.state, encoding="utf-8").read()
-        return fourqubit.FourQubitForm.from_json(json.loads(text))
+        return _read_json(args.state, fourqubit.FourQubitForm.from_json)
     if getattr(args, "gammas", None):
         return fourqubit.FourQubitForm(_default_seed_params(), _parse_gammas(args.gammas))
     raise UsageError("provide --state FILE or --gammas")
@@ -236,11 +259,8 @@ def _load_pair(args) -> tuple[fourqubit.FourQubitForm, fourqubit.FourQubitForm]:
         return (fourqubit.FourQubitForm(seed, _parse_gammas(args.from_gammas)),
                 fourqubit.FourQubitForm(seed, _parse_gammas(args.to_gammas)))
     if args.from_state and args.to_state:
-        with open(args.from_state, encoding="utf-8") as fh:
-            a = fourqubit.FourQubitForm.from_json(json.load(fh))
-        with open(args.to_state, encoding="utf-8") as fh:
-            b = fourqubit.FourQubitForm.from_json(json.load(fh))
-        return a, b
+        return (_read_json(args.from_state, fourqubit.FourQubitForm.from_json),
+                _read_json(args.to_state, fourqubit.FourQubitForm.from_json))
     raise UsageError("provide --from-gammas/--to-gammas or --from-state/--to-state")
 
 
@@ -304,9 +324,7 @@ def _cmd_fourqubit_sweep(args) -> int:
 
 # -- polytope -----------------------------------------------------------------
 
-def _load_polytope(args):
-    text = sys.stdin.read() if args.input == "-" else open(args.input, encoding="utf-8").read()
-    payload = json.loads(text)
+def _polytope_from_json(payload):
     if "A" in payload:
         return polytope.HalfspaceSystem.from_json(payload), None
     if "vertices" in payload:
@@ -315,7 +333,7 @@ def _load_polytope(args):
 
 
 def _cmd_polytope_vertices(args) -> int:
-    H, V = _load_polytope(args)
+    H, V = _read_json(args.input, _polytope_from_json)
     if H is None:
         raise UsageError("vertex enumeration needs an H-representation")
     V = polytope.enumerate_vertices(H)
@@ -329,7 +347,7 @@ def _cmd_polytope_vertices(args) -> int:
 
 
 def _cmd_polytope_volume(args) -> int:
-    H, V = _load_polytope(args)
+    H, V = _read_json(args.input, _polytope_from_json)
     adjacency = None
     if V is None:
         V = polytope.enumerate_vertices(H)
@@ -337,7 +355,7 @@ def _cmd_polytope_volume(args) -> int:
     vol, dim = polytope.volume_triangulation(V)
     payload = {"volume": vol, "dimension": dim, "vertices": V.n}
     if adjacency is not None:
-        simple = polytope.is_simple(H, V, adjacency)
+        simple = polytope.is_simple(V, adjacency)
         payload["simple"] = bool(simple)
         if simple and dim > 0:
             payload["brion_volume"] = polytope.brion_volume(V, adjacency)
@@ -431,7 +449,7 @@ def build_parser() -> _Parser:
     b_swp = bsub.add_parser("sweep")
     b_swp.add_argument("--from-schmidt", dest="start", required=True)
     b_swp.add_argument("--to-schmidt", dest="stop", required=True)
-    b_swp.add_argument("--steps", type=int, required=True)
+    b_swp.add_argument("--steps", type=_positive_int, required=True)
     b_swp.set_defaults(func=_cmd_bipartite_sweep)
 
     fq = sub.add_parser("fourqubit", help="generic four-qubit states")
@@ -470,7 +488,7 @@ def build_parser() -> _Parser:
     f_swp = fsub.add_parser("sweep")
     f_swp.add_argument("--from-gammas", required=True)
     f_swp.add_argument("--to-gammas", required=True)
-    f_swp.add_argument("--steps", type=int, required=True)
+    f_swp.add_argument("--steps", type=_positive_int, required=True)
     f_swp.add_argument("--mc-samples", type=int, default=200_000)
     f_swp.add_argument("--mc-seed", type=int, default=None)
     f_swp.set_defaults(func=_cmd_fourqubit_sweep)

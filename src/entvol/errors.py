@@ -23,6 +23,10 @@ class NegativeComponent(EntvolError):
     code = "schmidt.NegativeComponent"
 
 
+class NonFinite(EntvolError):
+    code = "schmidt.NonFinite"
+
+
 class ZeroSum(EntvolError):
     code = "schmidt.ZeroSum"
 

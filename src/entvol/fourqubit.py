@@ -163,6 +163,8 @@ def _as_gammas(gammas) -> np.ndarray:
     g = np.asarray(gammas, dtype=float)
     if g.shape != (4, 3):
         raise UnclassifiedForm(f"gammas must have shape (4, 3), got {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise UnclassifiedForm(f"gammas must be finite, got {g.tolist()}")
     norms = np.linalg.norm(g, axis=1)
     if np.any(norms > GAMMA_NORM_MAX):
         raise UnclassifiedForm(f"|gamma| must stay below {GAMMA_NORM_MAX}, got {norms.max()}")

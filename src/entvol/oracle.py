@@ -26,13 +26,10 @@ _CHUNK = 1 << 19
 class McConfig:
     samples: int = 1_000_000
     seed: int = 0
-    convention: str = "intrinsic"  # or "projected"
 
     def __post_init__(self) -> None:
         if self.samples < 1_000:
             raise InconsistentInput("need at least 1000 samples")
-        if self.convention not in ("intrinsic", "projected"):
-            raise InconsistentInput(f"unknown convention {self.convention!r}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,6 @@ class McResult:
     stderr: float
     samples: int
     seed: int
-    convention: str
 
     def to_json(self) -> dict:
         return {
@@ -49,7 +45,7 @@ class McResult:
             "stderr": self.stderr,
             "samples": self.samples,
             "seed": self.seed,
-            "convention": self.convention,
+            "convention": "intrinsic",
         }
 
 
@@ -88,12 +84,10 @@ def _mc_majorization(lam: SchmidtVector, cfg: McConfig, accessible: bool) -> McR
             ok = np.all(partial <= E + 1e-12, axis=1)
         hits += int(ok.sum())
     region = sorted_region_volume(d)
-    if cfg.convention == "projected":
-        region /= math.sqrt(d)
     p = hits / cfg.samples
     est = p * region
     se = region * math.sqrt(max(p * (1.0 - p), 0.0) / cfg.samples)
-    return McResult(est, se, cfg.samples, cfg.seed, cfg.convention)
+    return McResult(est, se, cfg.samples, cfg.seed)
 
 
 def mc_source_volume(lam: SchmidtVector, cfg: McConfig) -> McResult:
@@ -131,4 +125,4 @@ def mc_region_volume(
     p = hits / cfg.samples
     est = p * box_vol
     se = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / cfg.samples)
-    return McResult(est, se, cfg.samples, cfg.seed, cfg.convention)
+    return McResult(est, se, cfg.samples, cfg.seed)

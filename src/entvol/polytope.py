@@ -5,9 +5,8 @@ hundred vertices), so vertex enumeration runs the textbook route: solve every
 k-subset of tight constraints and keep feasible solutions.  Volumes come from
 two independent algorithms that are cross-checked in the test suite:
 
-* ``volume_triangulation`` decomposes the polytope into simplices with
-  disjoint interiors (fan from the vertex centroid over the convex-hull
-  facets) and sums determinant volumes.
+* ``volume_triangulation`` returns the volume qhull computes for the convex
+  hull of the vertices, from the same facets it builds for the hull.
 * ``brion_volume`` evaluates the vertex-sum formula for simple polytopes,
 
       vol(P) = 1/k! * sum_v |det(e_1(v),...,e_k(v))|
@@ -42,6 +41,8 @@ from .errors import (
 
 #: Tolerance for feasibility, tightness, dedup and rank decisions.
 EPS_GEOM = 1e-9
+#: Directions xi that ``brion_volume`` draws before it gives up.
+_XI_RETRIES = 64
 
 
 @dataclass(frozen=True)
@@ -103,42 +104,6 @@ class VertexSet:
     @staticmethod
     def from_json(payload: dict) -> "VertexSet":
         return VertexSet(np.asarray(payload["vertices"], float))
-
-
-@dataclass(frozen=True)
-class BrionVertexData:
-    """One vertex with its edge vectors, neighbor indices and the direction xi."""
-
-    vertex: np.ndarray
-    edge_vectors: np.ndarray
-    neighbors: tuple[int, ...]
-    xi: np.ndarray
-
-
-@dataclass(frozen=True)
-class EmbeddingFrame:
-    """Volume convention for polytopes living on the normalization hyperplane.
-
-    Dropping the last coordinate projects the hyperplane sum(x)=1 in R^d onto
-    R^(d-1); the projection shrinks volumes by exactly 1/sqrt(d).
-    """
-
-    ambient_dimension: int
-    convention: str = "intrinsic"  # or "projected"
-
-    def __post_init__(self) -> None:
-        if self.convention not in ("intrinsic", "projected"):
-            raise InconsistentInput(f"unknown convention {self.convention!r}")
-
-
-def convert_frame(volume: float, frame: EmbeddingFrame, target: str) -> float:
-    """Convert a volume between the intrinsic and projected conventions."""
-    if target not in ("intrinsic", "projected"):
-        raise InconsistentInput(f"unknown convention {target!r}")
-    if frame.convention == target:
-        return volume
-    scale = math.sqrt(frame.ambient_dimension)
-    return volume * scale if target == "intrinsic" else volume / scale
 
 
 def _check_bounded_feasible(H: HalfspaceSystem) -> None:
@@ -237,14 +202,14 @@ def affine_basis(vertices: np.ndarray, tol: float = EPS_GEOM) -> tuple[np.ndarra
     return vt[:rank].T, center  # columns are basis vectors
 
 
-def is_simple(H: HalfspaceSystem, V: VertexSet, adjacency: list[list[int]]) -> bool:
+def is_simple(V: VertexSet, adjacency: list[list[int]]) -> bool:
     """A k-dimensional polytope is simple iff every vertex has k neighbors."""
     k = affine_dimension(V.vertices)
     return all(len(nbrs) == k for nbrs in adjacency)
 
 
 def volume_triangulation(V: VertexSet | np.ndarray, tol: float = EPS_GEOM) -> tuple[float, int]:
-    """Volume inside the affine hull, via fan triangulation of hull facets.
+    """Volume inside the affine hull: qhull's volume of the convex hull.
 
     Returns ``(volume, dimension)``.  A polytope whose affine hull is a point
     is degenerate: volume 0.0 is returned with dimension 0 (flagged by the
@@ -263,51 +228,27 @@ def volume_triangulation(V: VertexSet | np.ndarray, tol: float = EPS_GEOM) -> tu
         hull = ConvexHull(coords)
     except QhullError:
         hull = ConvexHull(coords, qhull_options="QJ")
-    interior = coords[hull.vertices].mean(axis=0)
-    total = 0.0
-    for facet in hull.simplices:
-        mat = coords[facet] - interior
-        total += abs(np.linalg.det(mat))
-    return total / math.factorial(dim), dim
+    return float(hull.volume), dim
 
 
-def _xi_sequence(k: int, seed: int, retries: int):
+def _xi_sequence(k: int, seed: int):
     """Deterministic pseudo-random candidate directions in R^k."""
     rng = np.random.default_rng(seed)
-    for _ in range(retries):
+    for _ in range(_XI_RETRIES):
         yield rng.normal(size=k)
-
-
-def brion_vertex_data(
-    V: VertexSet | np.ndarray,
-    adjacency: list[list[int]],
-    xi: np.ndarray,
-) -> list[BrionVertexData]:
-    """Package each vertex with edge vectors and xi, in affine-hull coordinates."""
-    pts = V.vertices if isinstance(V, VertexSet) else np.atleast_2d(np.asarray(V, float))
-    basis, center = affine_basis(pts)
-    coords = (pts - center) @ basis
-    out = []
-    for i, nbrs in enumerate(adjacency):
-        edges = np.array([coords[i] - coords[j] for j in nbrs])
-        out.append(BrionVertexData(coords[i], edges, tuple(nbrs), np.asarray(xi, float)))
-    return out
 
 
 def brion_volume(
     V: VertexSet | np.ndarray,
     adjacency: list[list[int]],
-    frame: EmbeddingFrame | None = None,
     xi: np.ndarray | None = None,
     seed: int = 20230517,
-    retries: int = 64,
 ) -> float:
     """Volume of a simple polytope from the vertex-sum formula.
 
     Works in orthonormal coordinates of the affine hull, so a polytope on the
     normalization hyperplane needs no explicit basis change by the caller; the
-    returned value is the intrinsic volume (convert with ``convert_frame`` if
-    the projected convention is wanted).  ``xi`` may be supplied explicitly;
+    returned value is the intrinsic volume.  ``xi`` may be supplied explicitly;
     otherwise candidates are drawn from a fixed-seed sequence until none of
     the edge inner products vanish.
 
@@ -317,7 +258,7 @@ def brion_volume(
         if some vertex does not have exactly (affine dimension) neighbors or
         its edge vectors are linearly dependent.
     XiDegenerate
-        if no valid direction is found within ``retries`` draws.
+        if no valid direction is found within ``_XI_RETRIES`` draws.
     """
     pts = V.vertices if isinstance(V, VertexSet) else np.atleast_2d(np.asarray(V, float))
     k = affine_dimension(pts)
@@ -341,7 +282,7 @@ def brion_volume(
     if xi is not None:
         candidates = [np.asarray(xi, float)]
     else:
-        candidates = _xi_sequence(k, seed, retries)
+        candidates = _xi_sequence(k, seed)
     for cand in candidates:
         dots = [E @ cand for E in edge_mats]
         if all(np.all(np.abs(d) > EPS_GEOM) for d in dots):
@@ -350,16 +291,6 @@ def brion_volume(
                 det = abs(np.linalg.det(E))
                 num = float(coords[i] @ cand) ** k
                 total += det * num / float(np.prod(d))
-            vol = total / math.factorial(k)
-            if frame is not None and frame.convention == "projected":
-                return convert_frame(vol, EmbeddingFrame(frame.ambient_dimension, "intrinsic"), "projected")
-            return vol
+            return total / math.factorial(k)
     raise XiDegenerate("no direction avoided all edge orthogonalities; edges may coincide")
 
-
-def hull_hrep(vertices: np.ndarray) -> HalfspaceSystem:
-    """H-representation {A x + b >= 0} of the convex hull of full-dimensional points."""
-    pts = np.atleast_2d(np.asarray(vertices, float))
-    hull = ConvexHull(pts)
-    # qhull equations are A x + b <= 0
-    return HalfspaceSystem(-hull.equations[:, :-1], -hull.equations[:, -1])

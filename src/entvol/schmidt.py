@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     EmptyInput,
     IndexOutOfRange,
     NegativeComponent,
+    NonFinite,
     ShrinkNotAllowed,
     ZeroSum,
 )
@@ -47,7 +48,7 @@ class SchmidtVector:
             raise EmptyInput("Schmidt vector needs at least one component")
         if any(x < -EPS_NORM for x in c):
             raise NegativeComponent(f"negative component in {c}")
-        if abs(sum(c) - 1.0) > max(EPS_NORM, 1e-9 * len(c) * EPS_NORM):
+        if abs(sum(c) - 1.0) > EPS_NORM:
             raise ZeroSum(f"components of {c} do not sum to 1")
         if any(c[i] < c[i + 1] - EPS_NORM for i in range(len(c) - 1)):
             raise ValueError(f"components {c} not sorted non-increasingly")
@@ -71,11 +72,13 @@ def canonicalize(raw: Iterable[float]) -> SchmidtVector:
 
     Raises
     ------
-    EmptyInput, NegativeComponent, ZeroSum
+    EmptyInput, NonFinite, NegativeComponent, ZeroSum
     """
     values = [float(x) for x in raw]
     if not values:
         raise EmptyInput("empty Schmidt vector")
+    if not all(math.isfinite(x) for x in values):
+        raise NonFinite(f"non-finite component in {values}")
     if any(x < -EPS_NORM for x in values):
         raise NegativeComponent(f"component below -{EPS_NORM} in {values}")
     values = [max(x, 0.0) for x in values]
@@ -134,26 +137,6 @@ def separable(d: int) -> SchmidtVector:
 def maximally_entangled(d: int) -> SchmidtVector:
     """The flat vector (1/d, ..., 1/d)."""
     return SchmidtVector((1.0 / d,) * d)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {1, ..., d}, stored as the image tuple (sigma(1), ...)."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        d = len(self.mapping)
-        if sorted(self.mapping) != list(range(1, d + 1)):
-            raise ValueError(f"{self.mapping} is not a bijection on 1..{d}")
-
-    @property
-    def d(self) -> int:
-        return len(self.mapping)
-
-    def apply(self, x: Sequence[float]) -> tuple[float, ...]:
-        """Return (x_{sigma(1)}, ..., x_{sigma(d)})."""
-        return tuple(x[i - 1] for i in self.mapping)
 
 
 def sorted_region_volume(d: int) -> float:

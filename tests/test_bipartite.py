@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,16 @@ def test_source_sup_value():
         source_entanglement_k(canonicalize([0.5, 0.3, 0.2]), 2)
 
 
+@pytest.mark.parametrize("d,k", [(2, 3), (3, 4), (3, 5), (4, 5)])
+def test_source_sup_bounds_grid(d, k):
+    # the supremum is the flat state's value: no state on a composition grid
+    # of the d-simplex exceeds it
+    sup = source_entanglement_sup(d, k)
+    for comp in itertools.combinations_with_replacement(range(1, 11), d):
+        lam = canonicalize(comp)
+        assert source_entanglement(embed(lam, k)).entanglement <= sup + 1e-12
+
+
 def test_accessible_hrep_shape():
     lam = canonicalize([0.6, 0.4])
     H = accessible_hrep(lam)
@@ -184,7 +195,7 @@ def test_guaranteed_vertices_random_membership():
     for d in (3, 4, 5):
         for _ in range(5):
             lam = canonicalize(rng.dirichlet(np.ones(d)) + 0.02)
-            guaranteed_vertices(lam, verify=True)  # raises on a miss
+            guaranteed_vertices(lam)  # raises on a miss
 
 
 def test_max_entangled_accessible():

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from entvol.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -170,3 +176,48 @@ def test_domain_error_exit_code(capsys):
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "bipartite", "source")  # missing --schmidt
     assert code == 64
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["bipartite", "source", "--schmidt", "nan,0.5"], "schmidt.NonFinite"),
+    (["bipartite", "accessible", "--schmidt", "inf,0.5"], "schmidt.NonFinite"),
+    (["fourqubit", "classify", "--gammas=nan,0,0;0,0,0;0,0,0;0,0,0"], "fourqubit.UnclassifiedForm"),
+])
+def test_non_finite_input_is_domain_error(capsys, argv, error):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == error
+
+
+ZERO_GAMMAS = "0,0,0;0,0,0;0,0,0;0,0,0"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["fourqubit", "classify", "--state", "{missing}"], 64),
+    (["fourqubit", "measures", "--state", "{malformed}"], 64),
+    (["fourqubit", "classify", "--state", "{no_keys}"], 64),
+    (["fourqubit", "convert", "--from-state", "{missing}", "--to-state", "{missing}"], 64),
+    (["fourqubit", "witness", "--from-state", "{no_keys}", "--to-state", "{no_keys}"], 64),
+    (["polytope", "volume", "--input", "{malformed}"], 64),
+    (["polytope", "vertices", "--input", "{no_keys}"], 64),
+    (["bipartite", "sweep", "--from-schmidt", "0.6,0.4", "--to-schmidt", "0.7,0.3",
+      "--steps", "0"], 64),
+    (["fourqubit", "sweep", f"--from-gammas={ZERO_GAMMAS}", f"--to-gammas={ZERO_GAMMAS}",
+      "--steps", "0"], 64),
+    (["bipartite", "accessible", "--schmidt", "1", "--json"], 0),
+])
+def test_input_failures_exit_cleanly(tmp_path, argv, expected):
+    # a cold process, so that an uncaught exception shows as it would to a user
+    (tmp_path / "malformed.json").write_text('{"A": [[1, 0]', encoding="utf-8")
+    # neither a four-qubit form (no "seed") nor an H-representation (no "b")
+    (tmp_path / "no_keys.json").write_text('{"A": [[1.0]], "gammas": [[0, 0, 0]]}',
+                                           encoding="utf-8")
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "malformed", "no_keys")}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "entvol.cli"] + [a.format(**paths) for a in argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    if expected == 0:
+        payload = json.loads(proc.stdout)
+        assert (payload["E_a"], payload["dimension"], payload["vertices"]) == (0.0, 0, 1)

@@ -19,8 +19,6 @@ from entvol.schmidt import canonicalize, maximally_entangled, separable, sorted_
 def test_config_validation():
     with pytest.raises(errors.InconsistentInput):
         McConfig(samples=10)
-    with pytest.raises(errors.InconsistentInput):
-        McConfig(convention="bogus")
 
 
 def test_source_separable_is_whole_region():
@@ -59,15 +57,6 @@ def test_accessible_matches_formula_and_engine():
     lam4 = canonicalize([0.4, 0.3, 0.2, 0.1])
     res4 = mc_accessible_volume(lam4, McConfig(samples=400_000, seed=6))
     assert abs(res4.estimate - accessible_volume(lam4)[0]) <= 3 * res4.stderr
-
-
-def test_projected_convention():
-    cfg_i = McConfig(samples=50_000, seed=7)
-    cfg_p = McConfig(samples=50_000, seed=7, convention="projected")
-    lam = canonicalize([0.5, 0.3, 0.2])
-    ri = mc_source_volume(lam, cfg_i)
-    rp = mc_source_volume(lam, cfg_p)
-    assert ri.estimate == pytest.approx(rp.estimate * math.sqrt(3), abs=1e-12)
 
 
 def test_region_ball_in_cube():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from entvol import errors
 from entvol.schmidt import (
     SchmidtVector,
-    Permutation,
     canonicalize,
     embed,
     lu_equivalent,
@@ -84,13 +83,6 @@ def test_embed():
     assert embed(svec(0.5, 0.5), 2).components == (0.5, 0.5)
     with pytest.raises(errors.ShrinkNotAllowed):
         embed(svec(0.5, 0.5), 1)
-
-
-def test_permutation_type():
-    p = Permutation((2, 3, 1))
-    assert p.apply((10.0, 20.0, 30.0)) == (20.0, 30.0, 10.0)
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 2))
 
 
 @st.composite
