@@ -55,11 +55,11 @@ mu = brion_volume(verts, adj)
 tri, dim = volume_triangulation(VertexSet(verts))
 print(f"  vertex-sum volume    = {mu:.12f}")
 print(f"  hull volume          = {tri:.12f}  (dim {dim})")
-print(f"  closed form * d!     = {source_volume(lam) * math.factorial(lam.d):.12f}")
+print(f"  face recursion * d!  = {source_volume(lam) * math.factorial(lam.d):.12f}")
 
-print("\n=== Degenerate states break simplicity but not the closed form ===")
+print("\n=== Degenerate states break simplicity but not the face recursion ===")
 deg = canonicalize([0.4, 0.2, 0.2, 0.2])
 verts = source_polytope_vertices(deg)
 tri, dim = volume_triangulation(VertexSet(verts))
 print(f"  {deg.components}: hull volume {tri:.10f} (dim {dim})")
-print(f"  closed form * d!   : {source_volume(deg) * math.factorial(deg.d):.10f}")
+print(f"  face recursion * d! : {source_volume(deg) * math.factorial(deg.d):.10f}")

@@ -1,16 +1,32 @@
 """Source and accessible volumes/entanglement of bipartite pure states.
 
-Source side (closed form).  The set of unsorted vectors majorized by a sorted
-``lam`` is the convex hull of all d! permutations of ``lam``; it is simple for
-non-degenerate ``lam``, and summing the vertex formula over that hull yields
+Source side (face recursion).  Restricted to sorted vectors, the states that
+can reach a sorted ``lam`` form the chamber {mu sorted, mu majorized by lam}.
+With Lam_j = lam_1 + ... + lam_j (Lam_0 = 0) it is cut out by the d-1
+partial-sum caps M_j <= Lam_j and the d-1 ordering rows mu_j >= mu_(j+1),
+and it is a combinatorial (d-1)-cube: cap j and ordering row j are opposite
+facets.  Its vertex v_T, for T a subset of {1..d-1}, is lam averaged over the
+blocks that the tight caps T cut, and its faces are F_A = {v_T : T contains A}.
 
-    V_s(lam) = 1/d! * sqrt(d)/(d-1)! *
-               sum_sigma (sum_k sigma(k) lam_k - (d+1)/2)^(d-1)
-                         / prod_k (sigma(k) - sigma(k+1)),
+Lasserre's formula vol(P) = 1/dim(P) * sum_F h_F vol(F), taken from the apex
+v_A of F_A, drops every facet through v_A (all the ordering facets) and keeps
+the facets F_(A u {k}), k not in A.  If k lies in the block (a, b] of A, with
+n = b - a and m = k - a, the apex's distance to the cap M_k = Lam_k within
+F_A is
 
-valid for degenerate vectors as well (continuity).  Dividing by the separable
-state's volume sqrt(d)/(d! (d-1)!) gives the source entanglement directly as
-one minus the permutation sum.
+    h(a, k, b) = (Lam_k - Lam_a - m (Lam_b - Lam_a) / n) / sqrt(m (n-m) / n),
+
+which is >= 0 because Lam is concave.  A face is the orthogonal product of
+the chambers of its blocks (the ordering rows between blocks are implied), so
+the 2^(d-1) face volumes are products of the volumes V(a, b) of the O(d^2)
+block chambers, and the recursion reads
+
+    V(a, b) = 1/(n-1) * sum_(a<k<b) h(a, k, b) V(a, k) V(k, b),  V(a, a+1) = 1.
+
+Every term is nonnegative and nothing divides by a lam-dependent quantity,
+so there is no cancellation and ties or trailing zeros need no special case.
+E_s = 1 - V(0, d) / V_sorted, the separable state's chamber being the whole
+sorted region.
 
 Accessible side (geometry).  After eliminating the last component by
 normalization, the accessible set is the polytope in R^(d-1) cut out by the
@@ -24,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,10 +58,14 @@ from .schmidt import (
     sorted_region_volume,
 )
 
-#: Largest dimension for which the exact d! permutation sum is attempted.
-MAX_EXACT_DIM = 11
+#: Largest Schmidt rank the source measures accept; their precision is tested
+#: up to here (E_s within 1e-13 of 0 on the separable state, of 1 on the flat).
+MAX_EXACT_DIM = 16
 
-_CHUNK = 200_000
+#: Largest target rank of the accessible measures: vertex enumeration solves
+#: C(2k-1, k-1) systems, and one rank-10 vector ran past 590 s on a 2-vCPU
+#: machine.
+MAX_ACCESSIBLE_DIM = 9
 
 
 @dataclass(frozen=True)
@@ -71,29 +90,25 @@ class MeasureReport:
         }
 
 
-def _permutation_sum(lam: np.ndarray) -> float:
-    """The normalized vertex sum; equals V_s / V_s(separable).
+def _chamber_volume(lam: tuple[float, ...]) -> float:
+    """Intrinsic (d-1)-volume of the sorted source chamber, by the face recursion.
 
-    Terms alternate in sign, so each chunk is accumulated with exact
-    compensated summation (math.fsum) and chunk totals are fsum-reduced again.
-    Chunking is deterministic, so any associative parallel reduction of the
-    chunks would reproduce the same value.
+    ``vol[a][b]`` is the volume of the block chamber over components a+1..b
+    with the partial sums at a and b tight (see the module docstring).
     """
     d = len(lam)
-    if d > MAX_EXACT_DIM:
-        raise DimensionTooLarge(f"d={d} exceeds the exact-sum cap {MAX_EXACT_DIM}")
-    shift = (d + 1) / 2.0
-    perm_iter = itertools.permutations(range(1, d + 1))
-    chunk_totals: list[float] = []
-    while True:
-        block = list(itertools.islice(perm_iter, _CHUNK))
-        if not block:
-            break
-        P = np.array(block, dtype=float)
-        nums = (P @ lam - shift) ** (d - 1)
-        dens = np.prod(-np.diff(P, axis=1), axis=1) if d > 1 else np.ones(len(block))
-        chunk_totals.append(math.fsum((nums / dens).tolist()))
-    return math.fsum(chunk_totals)
+    cum = list(itertools.accumulate(lam, initial=0.0))
+    vol = [[1.0] * (d + 1) for _ in range(d + 1)]
+    for n in range(2, d + 1):
+        for a in range(d - n + 1):
+            b = a + n
+            slope = (cum[b] - cum[a]) / n
+            total = 0.0
+            for m in range(1, n):
+                h = (cum[a + m] - cum[a] - m * slope) / math.sqrt(m * (n - m) / n)
+                total += h * vol[a][a + m] * vol[a + m][b]
+            vol[a][b] = total / (n - 1)
+    return vol[0][d]
 
 
 def source_volume(lam: SchmidtVector) -> float:
@@ -103,19 +118,20 @@ def source_volume(lam: SchmidtVector) -> float:
 
 def source_entanglement(lam: SchmidtVector) -> MeasureReport:
     """Source entanglement; 0 on the separable state, 1 on the flat state."""
-    total = _permutation_sum(lam.as_array())
+    if lam.d > MAX_EXACT_DIM:
+        raise DimensionTooLarge(f"d={lam.d} exceeds the source cap {MAX_EXACT_DIM}")
+    vol = _chamber_volume(lam.components)
     sup = sorted_region_volume(lam.d)
     return MeasureReport(
         quantity="source",
-        volume=total * sup,
+        volume=vol,
         dimension=lam.d - 1,
         v_sup=sup,
-        entanglement=1.0 - total,
+        entanglement=1.0 - vol / sup,
         k=lam.d,
     )
 
 
-@lru_cache(maxsize=None)
 def source_entanglement_sup(d: int, k: int) -> float:
     """sup over d-dimensional states of the k-embedded source entanglement.
 
@@ -178,6 +194,8 @@ def accessible_hrep(lam: SchmidtVector) -> HalfspaceSystem:
     floors, the d-2 ordering rows, the floor on the eliminated component and
     its positivity: 2d-1 rows in total.
     """
+    if lam.d < 2:
+        raise IndexOutOfRange("the accessible H-representation needs d >= 2")
     return _restricted_accessible_hrep(lam, lam.d)
 
 
@@ -206,6 +224,8 @@ def _restricted_accessible_hrep(lam: SchmidtVector, k: int) -> HalfspaceSystem:
 
 def _restricted_accessible_vertices(lam: SchmidtVector, k: int) -> VertexSet:
     """Vertices of the accessible targets of rank <= k, in k-1 coordinates."""
+    if k > MAX_ACCESSIBLE_DIM:
+        raise DimensionTooLarge(f"rank {k} exceeds the accessible cap {MAX_ACCESSIBLE_DIM}")
     if k == 1:
         return VertexSet(np.zeros((1, 0)))  # the single target (1,)
     return enumerate_vertices(_restricted_accessible_hrep(lam, k))

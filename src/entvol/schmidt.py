@@ -46,6 +46,8 @@ class SchmidtVector:
         c = self.components
         if len(c) == 0:
             raise EmptyInput("Schmidt vector needs at least one component")
+        if not all(math.isfinite(x) for x in c):
+            raise NonFinite(f"non-finite component in {c}")
         if any(x < -EPS_NORM for x in c):
             raise NegativeComponent(f"negative component in {c}")
         if abs(sum(c) - 1.0) > EPS_NORM:

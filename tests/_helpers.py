@@ -1,6 +1,12 @@
-"""Random-state and random-pair generators shared by the four-qubit tests."""
+"""Shared test helpers: the d!-term source oracles and the random-state and
+random-pair generators of the four-qubit tests."""
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -13,6 +19,43 @@ from entvol.fourqubit import (
 )
 
 Z3 = np.zeros(3)
+
+
+# -- the d!-term source formula, an independent route to E_s = 1 - sum --------
+#
+# The source set over unsorted vectors is the permutohedron of lam; summing
+# the vertex formula over its d! vertices gives V_s / V_s(separable) as
+#     sum_sigma (sum_k sigma(k) lam_k - (d+1)/2)^(d-1) / prod_k (sigma(k) - sigma(k+1)).
+
+def permutation_sum(lam) -> float:
+    """The signed d!-term sum in floats, reduced with math.fsum."""
+    lam = np.asarray(lam, dtype=float)
+    d = len(lam)
+    P = np.array(list(itertools.permutations(range(1, d + 1))), dtype=float)
+    nums = (P @ lam - (d + 1) / 2.0) ** (d - 1)
+    dens = np.prod(-np.diff(P, axis=1), axis=1)
+    return math.fsum((nums / dens).tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _permutation_weights(d: int) -> tuple[list, list, int]:
+    """Permutations of 1..d with weights L / prod_k (sigma(k) - sigma(k+1)), L their lcm."""
+    perms = list(itertools.permutations(range(1, d + 1)))
+    dens = [math.prod(s[k] - s[k + 1] for k in range(d - 1)) for s in perms]
+    lcm = math.lcm(*(abs(x) for x in dens))
+    return perms, [lcm // x for x in dens], lcm
+
+
+def permutation_sum_exact(lam) -> Fraction:
+    """The same sum in exact rationals: each float is n_k / D for integers n_k."""
+    d = len(lam)
+    fr = [Fraction(float(x)) for x in lam]
+    D = math.lcm(*(f.denominator for f in fr))
+    n = [f.numerator * (D // f.denominator) for f in fr]
+    perms, weights, lcm = _permutation_weights(d)
+    total = sum(w * (2 * sum(si * ni for si, ni in zip(s, n)) - (d + 1) * D) ** (d - 1)
+                for s, w in zip(perms, weights))
+    return Fraction(total, lcm * (2 * D) ** (d - 1))
 
 
 def fixed_seed_params() -> SeedParams:

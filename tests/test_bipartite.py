@@ -8,6 +8,7 @@ import pytest
 
 from entvol import errors
 from entvol.bipartite import (
+    MAX_EXACT_DIM,
     MeasureReport,
     accessible_entanglement,
     accessible_entanglement_k,
@@ -23,6 +24,7 @@ from entvol.bipartite import (
     source_polytope_vertices,
     source_volume,
 )
+from entvol.oracle import McConfig, mc_source_volume
 from entvol.polytope import brion_volume
 from entvol.schmidt import (
     canonicalize,
@@ -32,6 +34,8 @@ from entvol.schmidt import (
     separable,
     sorted_region_volume,
 )
+
+from _helpers import permutation_sum, permutation_sum_exact
 
 SQ2 = math.sqrt(2)
 SQ3 = math.sqrt(3)
@@ -80,9 +84,48 @@ def test_source_entanglement_report_fields():
 
 
 def test_dimension_cap():
-    lam = maximally_entangled(12)
+    lam = maximally_entangled(MAX_EXACT_DIM + 1)
     with pytest.raises(errors.DimensionTooLarge):
         source_volume(lam)
+
+
+def _source_test_vectors(d, rng):
+    """Dirichlet vectors, one with tied neighbours and one with trailing zeros."""
+    out = [canonicalize(rng.dirichlet(np.ones(d))) for _ in range(3)]
+    tied = rng.dirichlet(np.ones(d))
+    tied[d // 2 - 1: d // 2 + 1] = tied[d // 2 - 1: d // 2 + 1].mean()
+    out.append(canonicalize(tied))
+    out.append(embed(canonicalize(rng.dirichlet(np.ones(d - d // 2))), d))
+    return out
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_source_recursion_matches_exact_sum(d):
+    rng = np.random.default_rng(40 + d)
+    for lam in _source_test_vectors(d, rng):
+        exact = 1 - permutation_sum_exact(lam.components)
+        assert abs(source_entanglement(lam).entanglement - float(exact)) <= 1e-14
+
+
+def test_source_recursion_matches_float_sum_d9():
+    rng = np.random.default_rng(49)
+    lam = canonicalize(rng.dirichlet(np.ones(9)))
+    expected = 1.0 - permutation_sum(lam.as_array())
+    assert abs(source_entanglement(lam).entanglement - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("d", range(12, MAX_EXACT_DIM + 1))
+def test_source_boundaries_large_rank(d):
+    assert abs(source_entanglement(separable(d)).entanglement) <= 1e-13
+    assert source_entanglement(maximally_entangled(d)).entanglement == pytest.approx(1.0, abs=1e-13)
+
+
+def test_source_volume_matches_monte_carlo_d12():
+    lam = canonicalize(0.5 ** np.arange(12))
+    exact = source_volume(lam)
+    assert exact / sorted_region_volume(12) >= 0.05
+    mc = mc_source_volume(lam, McConfig(samples=1_000_000, seed=12))
+    assert abs(mc.estimate - exact) <= 3 * mc.stderr
 
 
 def test_source_entanglement_k_reduces_to_plain():
@@ -124,6 +167,18 @@ def test_accessible_hrep_shape():
     # the state itself saturates all majorization rows: always a vertex
     V = accessible_vertices(canonicalize([0.5, 0.3, 0.2]))
     assert any(np.allclose(v, [0.5, 0.3], atol=1e-10) for v in V.vertices)
+
+
+def test_accessible_hrep_needs_rank_two():
+    lam = canonicalize([1])
+    with pytest.raises(errors.IndexOutOfRange):
+        accessible_hrep(lam)
+    assert accessible_vertices(lam).n == 1
+
+
+def test_accessible_rank_cap():
+    with pytest.raises(errors.DimensionTooLarge):
+        accessible_entanglement(maximally_entangled(10))
 
 
 def test_accessible_volume_two_qubits():

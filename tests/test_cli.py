@@ -189,6 +189,21 @@ def test_non_finite_input_is_domain_error(capsys, argv, error):
     assert json.loads(out)["error"] == error
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["bipartite", "accessible", "--schmidt", ",".join(["1"] * 10)], 2),
+    (["bipartite", "source", "--schmidt", ",".join(["1"] * 16)], 0),
+    (["bipartite", "source", "--schmidt", ",".join(["1"] * 17)], 2),
+])
+def test_rank_caps(capsys, argv, expected):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == expected
+    assert "Traceback" not in out + err
+    if expected == 2:
+        assert json.loads(out)["error"] == "bipartite.DimensionTooLarge"
+    else:
+        assert json.loads(out)["E_s"] == pytest.approx(1.0, abs=1e-13)
+
+
 ZERO_GAMMAS = "0,0,0;0,0,0;0,0,0;0,0,0"
 
 

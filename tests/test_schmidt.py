@@ -47,6 +47,12 @@ def test_canonicalize_errors():
         canonicalize([0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_direct_construction_rejects_non_finite(bad):
+    with pytest.raises(errors.NonFinite):
+        SchmidtVector((bad, 0.5))
+
+
 def test_partial_sum_examples():
     assert partial_sum(svec(0.6, 0.4), 1) == pytest.approx(0.6)
     assert partial_sum(svec(0.5, 0.25, 0.25), 2) == pytest.approx(0.75)
