@@ -6,6 +6,7 @@ and volumes from two independent algorithms (qhull's hull volume and the
 vertex-sum formula for simple polytopes) that must agree.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,12 +21,13 @@ from entvol import (
     vertex_adjacency,
     volume_triangulation,
 )
-from entvol.bipartite import (
-    accessible_hrep,
-    source_polytope_adjacency,
-    source_polytope_vertices,
-    source_volume,
-)
+from entvol.bipartite import accessible_hrep, source_volume
+
+
+def permutation_hull(lam):
+    """All d! coordinate permutations of lam: the source set over unsorted vectors."""
+    return np.array([lam.as_array()[list(p)] for p in itertools.permutations(range(lam.d))])
+
 
 print("=== A unit square from its halfspaces ===")
 square = HalfspaceSystem(
@@ -48,18 +50,15 @@ for lam_list in ([0.30, 0.27, 0.24, 0.19], [0.4, 0.3, 0.2, 0.1]):
 
 print("\n=== The permutation hull behind the source volume ===")
 lam = canonicalize([0.5, 0.3, 0.2])
-verts = source_polytope_vertices(lam)
-adj = source_polytope_adjacency(lam.d)
+verts = permutation_hull(lam)
 print(f"hull of all {len(verts)} permutations of {lam.components}")
-mu = brion_volume(verts, adj)
 tri, dim = volume_triangulation(VertexSet(verts))
-print(f"  vertex-sum volume    = {mu:.12f}")
 print(f"  hull volume          = {tri:.12f}  (dim {dim})")
 print(f"  face recursion * d!  = {source_volume(lam) * math.factorial(lam.d):.12f}")
 
 print("\n=== Degenerate states break simplicity but not the face recursion ===")
 deg = canonicalize([0.4, 0.2, 0.2, 0.2])
-verts = source_polytope_vertices(deg)
+verts = permutation_hull(deg)
 tri, dim = volume_triangulation(VertexSet(verts))
 print(f"  {deg.components}: hull volume {tri:.10f} (dim {dim})")
 print(f"  face recursion * d! : {source_volume(deg) * math.factorial(deg.d):.10f}")

@@ -32,7 +32,12 @@ Accessible side (geometry).  After eliminating the last component by
 normalization, the accessible set is the polytope in R^(d-1) cut out by the
 d-1 majorization rows and the d ordering/positivity rows; its volume is found
 by vertex enumeration plus qhull's hull volume and converted to the intrinsic
-convention with the sqrt(d) Jacobian.
+convention with the sqrt(d) Jacobian.  A set of lower dimension than d-1,
+such as the separable state's single target, gets E_a = 0.
+
+Rank 1.  The single point (1,) is the whole sorted region, and its 0-volume
+is 1, as in ``sorted_region_volume(1)`` and the Monte-Carlo oracles.  So at
+d = 1 both volumes are 1, E_s = 0 and E_a = 1.
 """
 
 from __future__ import annotations
@@ -143,7 +148,13 @@ def source_entanglement_sup(d: int, k: int) -> float:
 
 
 def source_entanglement_k(lam: SchmidtVector, k: int) -> MeasureReport:
-    """Generalized source entanglement against source states of dimension k >= d."""
+    """Generalized source entanglement against source states of dimension k >= d.
+
+    It is normalized by the flat state's value, which vanishes at d = 1 (the
+    flat state is then the separable one), so d >= 2 is required.
+    """
+    if lam.d < 2:
+        raise IndexOutOfRange("the k-embedded source entanglement needs d >= 2")
     if k < lam.d:
         raise ShrinkNotAllowed(f"k={k} smaller than d={lam.d}")
     sup = source_entanglement_sup(lam.d, k)
@@ -156,33 +167,6 @@ def source_entanglement_k(lam: SchmidtVector, k: int) -> MeasureReport:
         entanglement=big.entanglement / sup,
         k=k,
     )
-
-
-# -- the permutation hull of lam (source set over unsorted vectors) ----------
-
-def source_polytope_vertices(lam: SchmidtVector) -> np.ndarray:
-    """All d! coordinate permutations of lam (the hull's vertex list)."""
-    arr = lam.as_array()
-    return np.array([arr[list(p)] for p in itertools.permutations(range(lam.d))])
-
-
-def source_polytope_adjacency(d: int) -> list[list[int]]:
-    """Neighbor lists under the adjacent-value-swap rule.
-
-    The neighbors of the vertex indexed by sigma are obtained by composing
-    sigma with the transposition of the values i, i+1; for non-degenerate lam
-    these are exactly the polytope edges, d-1 per vertex.
-    """
-    perms = list(itertools.permutations(range(d)))
-    index = {p: i for i, p in enumerate(perms)}
-    adj = []
-    for p in perms:
-        nbrs = []
-        for i in range(d - 1):
-            q = tuple(i + 1 if x == i else (i if x == i + 1 else x) for x in p)
-            nbrs.append(index[q])
-        adj.append(nbrs)
-    return adj
 
 
 # -- accessible set -----------------------------------------------------------
@@ -237,9 +221,11 @@ def accessible_vertices(lam: SchmidtVector) -> VertexSet:
 
 def _accessible_report(lam: SchmidtVector, k: int) -> MeasureReport:
     """Enumerate the vertices, take the hull volume, apply the sqrt(k) Jacobian."""
+    sup = sorted_region_volume(k)
+    if k == 1:  # the single point (1,) is the whole sorted region
+        return MeasureReport("accessible", sup, 0, sup, 1.0, 1)
     vol_proj, dim = volume_triangulation(_restricted_accessible_vertices(lam, k))
     vol = vol_proj * math.sqrt(k)
-    sup = sorted_region_volume(k)
     value = vol / sup if dim == k - 1 else 0.0
     return MeasureReport("accessible", vol, dim, sup, value, k)
 
@@ -267,7 +253,8 @@ def guaranteed_vertices(lam: SchmidtVector) -> list[SchmidtVector]:
 
     The i-th one keeps the first i-1 components, then repeats the i-th
     component as often as normalization allows, closes with the remainder and
-    pads with zeros.  Each is checked against the enumerated vertex set.
+    pads with zeros.  They are built in closed form, with no vertex
+    enumeration, so any rank is accepted.
     """
     d = lam.d
     if d < 3:
@@ -283,11 +270,6 @@ def guaranteed_vertices(lam: SchmidtVector) -> list[SchmidtVector]:
             remaining -= step
         comps.extend([0.0] * (d - len(comps)))
         out.append(SchmidtVector(tuple(comps)))
-    V = accessible_vertices(lam)
-    for v in out:
-        proj = v.as_array()[: d - 1]
-        if not any(np.linalg.norm(proj - w) <= 1e-8 for w in V.vertices):
-            raise AssertionError(f"constructed vertex {v} missing from the vertex set")
     return out
 
 
@@ -295,11 +277,4 @@ def max_entangled_accessible(lam: SchmidtVector, k: int) -> bool:
     """Whether the flat state of rank k is reachable from lam (iff lam_1 <= 1/k)."""
     if not 1 <= k <= lam.d:
         raise IndexOutOfRange(f"need 1 <= k <= d={lam.d}, got {k}")
-    ok = lam.components[0] <= 1.0 / k + EPS_NORM
-    if ok and k >= 2 and lam.d >= 2:
-        target = embed(maximally_entangled(k), lam.d).as_array()[: lam.d - 1]
-        V = accessible_vertices(lam)
-        if not any(np.linalg.norm(target - w) <= 1e-8 for w in V.vertices):
-            raise AssertionError("flat state reachable but not a vertex; geometry inconsistent")
-    return ok
-
+    return lam.components[0] <= 1.0 / k + EPS_NORM

@@ -67,7 +67,9 @@ def _parse_gammas(text: str) -> np.ndarray:
         rows = [[float(t) for t in part.split(",")] for part in text.split(";")]
     except ValueError as exc:
         raise UsageError(f"bad gamma block {text!r}: {exc}") from exc
-    return np.asarray(rows, dtype=float)
+    if len({len(row) for row in rows}) > 1:
+        raise UsageError(f"bad gamma block {text!r}: rows of unequal length")
+    return np.asarray(rows)
 
 
 def _positive_int(text: str) -> int:
@@ -302,9 +304,9 @@ def _cmd_fourqubit_witness(args) -> int:
 
 
 def _cmd_fourqubit_sweep(args) -> int:
-    g0 = _parse_gammas(args.from_gammas)
-    g1 = _parse_gammas(args.to_gammas)
     seed = _default_seed_params()
+    g0, g1 = (fourqubit.FourQubitForm(seed, _parse_gammas(text)).gammas
+              for text in (args.from_gammas, args.to_gammas))
     cfg = _mc_config(args)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["step", "class"]
@@ -403,8 +405,6 @@ def _cmd_oracle_region(args) -> int:
         if not args.gammas:
             raise UsageError("--gammas required for the reachable region")
         g = _parse_gammas(args.gammas)
-        if g.shape != (4, 3):
-            raise UsageError("expected four gamma rows")
         cls = fourqubit.classify(fourqubit.FourQubitForm(_default_seed_params(), g))
         if cls.tag != fourqubit.TAG_GENERAL_ONE:
             raise UsageError("reachable-region sampling applies to single-general-party states")

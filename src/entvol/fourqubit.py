@@ -44,6 +44,11 @@ from .bipartite import MeasureReport
 AXIS_TOL = 1e-10
 #: Strict norm bound keeping every G positive definite in double precision.
 GAMMA_NORM_MAX = 0.5 - 1e-12
+#: Agreement of gamma components and of squared seed parameters in the
+#: convertibility decision and the witness built from it.
+CONVERT_TOL = 1e-9
+#: Least separation of the squared parameters that ``random_seed_params`` draws.
+SEED_MIN_GAP = 0.03
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -141,7 +146,7 @@ def build_seed(params: SeedParams, validate: bool = True) -> np.ndarray:
     return v
 
 
-def random_seed_params(rng: np.random.Generator, min_gap: float = 0.03) -> SeedParams:
+def random_seed_params(rng: np.random.Generator) -> SeedParams:
     """Rejection-sample valid seed parameters with comfortably separated squares."""
     while True:
         a = rng.normal()
@@ -149,7 +154,7 @@ def random_seed_params(rng: np.random.Generator, min_gap: float = 0.03) -> SeedP
         norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
         p = SeedParams(a / norm, b / norm, c / norm, d / norm)
         try:
-            p.validate(tol=min_gap)
+            p.validate(tol=SEED_MIN_GAP)
         except InvalidSeedParams:
             continue
         return p
@@ -164,7 +169,7 @@ def _as_gammas(gammas) -> np.ndarray:
     if g.shape != (4, 3):
         raise UnclassifiedForm(f"gammas must have shape (4, 3), got {g.shape}")
     if not np.all(np.isfinite(g)):
-        raise UnclassifiedForm(f"gammas must be finite, got {g.tolist()}")
+        raise UnclassifiedForm("gammas must be finite")
     norms = np.linalg.norm(g, axis=1)
     if np.any(norms > GAMMA_NORM_MAX):
         raise UnclassifiedForm(f"|gamma| must stay below {GAMMA_NORM_MAX}, got {norms.max()}")
@@ -181,12 +186,12 @@ class FourQubitForm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gammas", _as_gammas(self.gammas))
 
-    def state_vector(self, normalized: bool = True) -> np.ndarray:
-        """Apply g^i = sqrt(G^i) per party to the seed vector."""
+    def state_vector(self) -> np.ndarray:
+        """Apply g^i = sqrt(G^i) per party to the seed vector and normalize."""
         v = build_seed(self.seed)
         ops = [sqrt_g(self.gammas[i]) for i in range(4)]
         v = kron4(*ops) @ v
-        return v / np.linalg.norm(v) if normalized else v
+        return v / np.linalg.norm(v)
 
     def to_json(self) -> dict:
         return {
@@ -250,8 +255,8 @@ def standard_form(form: FourQubitForm) -> FourQubitForm:
     return FourQubitForm(form.seed, best[1])
 
 
-def same_slocc_class(s1: SeedParams, s2: SeedParams, tol: float = 1e-9) -> bool:
-    return _multisets_match(s1.squares(), s2.squares(), tol)
+def same_slocc_class(s1: SeedParams, s2: SeedParams) -> bool:
+    return _multisets_match(s1.squares(), s2.squares(), CONVERT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +348,7 @@ def _classify_at(g: np.ndarray, tol: float):
     return decisions[0]
 
 
-def classify(form: FourQubitForm, tol: float = AXIS_TOL) -> Classified:
+def classify(form: FourQubitForm) -> Classified:
     """Detect the structure of a state, conservatively, with a near-miss note.
 
     States outside the convertible family are tagged isolated; if a looser
@@ -352,15 +357,15 @@ def classify(form: FourQubitForm, tol: float = AXIS_TOL) -> Classified:
     """
     sf = standard_form(form)
     g = sf.gammas
-    if np.max(np.abs(g)) <= tol:
+    if np.max(np.abs(g)) <= AXIS_TOL:
         return Classified(sf, TAG_SEED)
-    decision = _classify_at(g, tol)
+    decision = _classify_at(g, AXIS_TOL)
     if decision is None:
         diag = None
         if _classify_at(g, 1e-6) is not None:
             diag = (
                 "nearly axis-aligned: off-axis components are below 1e-6 but above "
-                f"the alignment tolerance {tol}; treating as isolated"
+                f"the alignment tolerance {AXIS_TOL}; treating as isolated"
             )
         return Classified(sf, TAG_ISOLATED, diagnostic=diag)
     tag, w, roles = decision
@@ -445,14 +450,11 @@ ROW_PLANE = "single_party_plane"         # one party, one component pinned to ze
 ROW_AXIS = "single_party_axis"           # one party, axis aligned
 ROW_AXIS_THEN_T = "axis_then_transverse" # grow an axis, then switch on a second party
 
-ALL_ROWS = (ROW_SCALING, ROW_RECTANGLE, ROW_GENERAL, ROW_PLANE, ROW_AXIS, ROW_AXIS_THEN_T)
-
 
 @dataclass(frozen=True)
 class Verdict:
     convertible: bool
     row: str | None = None
-    perm: tuple[int, ...] | None = None   # applied to the final state's parties
     klein: int | None = None              # sign variant applied to the final gammas
     detail: str | None = None
 
@@ -460,15 +462,15 @@ class Verdict:
         return self.convertible
 
 
-def _scaling_condition(gi: np.ndarray, zf: np.ndarray, tol: float):
+def _scaling_condition(gi: np.ndarray, zf: np.ndarray):
     """Axis components all frozen; one party's transverse pair scales up."""
     for w in range(3):
-        if np.max(np.abs(gi[:, w] - zf[:, w])) > tol:
+        if np.max(np.abs(gi[:, w] - zf[:, w])) > CONVERT_TOL:
             continue
         off = [u for u in range(3) if u != w]
         diff_parties = [
             p for p in range(4)
-            if np.max(np.abs(gi[p, off])) > tol or np.max(np.abs(zf[p, off])) > tol
+            if np.max(np.abs(gi[p, off])) > CONVERT_TOL or np.max(np.abs(zf[p, off])) > CONVERT_TOL
         ]
         if len(diff_parties) > 1:
             continue
@@ -478,85 +480,126 @@ def _scaling_condition(gi: np.ndarray, zf: np.ndarray, tol: float):
         t_i = gi[p, off]
         t_f = zf[p, off]
         denom = float(t_f @ t_f)
-        if denom <= tol * tol:
+        if denom <= CONVERT_TOL * CONVERT_TOL:
             continue  # final transverse vanishes; nothing to scale toward
         s = float(t_i @ t_f) / denom
-        if -tol <= s <= 1.0 + tol and np.max(np.abs(t_i - s * t_f)) <= tol:
-            return w, p, min(max(s, 0.0), 1.0)
+        if -CONVERT_TOL <= s <= 1.0 + CONVERT_TOL and np.max(np.abs(t_i - s * t_f)) <= CONVERT_TOL:
+            return ROW_SCALING, (w, p, min(max(s, 0.0), 1.0))
     return None
 
 
-def _active_parties(g: np.ndarray, tol: float) -> list[int]:
-    return [p for p in range(4) if np.max(np.abs(g[p])) > tol]
+def _active_parties(g: np.ndarray) -> list[int]:
+    return [p for p in range(4) if np.max(np.abs(g[p])) > CONVERT_TOL]
 
 
-def _rectangle_condition(gi, zf, tol):
+def _rectangle_condition(gi, zf):
     """Two axis-aligned parties on different axes; both values may only grow."""
-    ai = _active_parties(gi, tol)
-    af = _active_parties(zf, tol)
+    ai = _active_parties(gi)
+    af = _active_parties(zf)
     if len(af) != 2 or set(ai) - set(af):
         return None
     pairs = []
     for p in af:
-        comps_f = np.flatnonzero(np.abs(zf[p]) > tol)
-        comps_i = np.flatnonzero(np.abs(gi[p]) > tol)
+        comps_f = np.flatnonzero(np.abs(zf[p]) > CONVERT_TOL)
+        comps_i = np.flatnonzero(np.abs(gi[p]) > CONVERT_TOL)
         if len(comps_f) != 1 or not set(comps_i) <= set(comps_f):
             return None
         u = int(comps_f[0])
-        if zf[p, u] < -tol or gi[p, u] < -tol or gi[p, u] > zf[p, u] + tol:
+        if zf[p, u] < -CONVERT_TOL or gi[p, u] < -CONVERT_TOL or gi[p, u] > zf[p, u] + CONVERT_TOL:
             return None
         pairs.append((p, u))
     if pairs[0][1] == pairs[1][1]:
         return None
-    return tuple(pairs)
+    return ROW_RECTANGLE, tuple(pairs)
 
 
-def _single_party_condition(gi, zf, tol):
-    ai = _active_parties(gi, tol)
-    af = _active_parties(zf, tol)
+def _single_party_condition(gi, zf):
+    ai = _active_parties(gi)
+    af = _active_parties(zf)
     active = set(ai) | set(af)
     if len(active) != 1:
         return None
     p = active.pop()
-    eta = eta_solve(gi[p], zf[p], tol)
+    eta = eta_solve(gi[p], zf[p], CONVERT_TOL)
     if eta is None:
         return None
-    nz_f = int(np.sum(np.abs(zf[p]) > tol))
-    row = {3: ROW_GENERAL, 2: ROW_PLANE, 1: ROW_AXIS}[nz_f]
-    return p, eta, row
+    nz_f = int(np.sum(np.abs(zf[p]) > CONVERT_TOL))
+    return {3: ROW_GENERAL, 2: ROW_PLANE, 1: ROW_AXIS}[nz_f], (p, eta)
 
 
-def _axis_then_transverse_condition(gi, zf, tol):
+def _axis_then_transverse_condition(gi, zf):
     """From the seed or a single axis party into an axis-plus-second-party form."""
-    ai = _active_parties(gi, tol)
+    ai = _active_parties(gi)
     if len(ai) > 1:
         return None
-    af = _active_parties(zf, tol)
+    af = _active_parties(zf)
     if len(af) != 2:
         return None
     # final: one party on a single axis w, the second purely transverse to w
     for axis_party in af:
-        comps = np.flatnonzero(np.abs(zf[axis_party]) > tol)
+        comps = np.flatnonzero(np.abs(zf[axis_party]) > CONVERT_TOL)
         if len(comps) != 1:
             continue
         w = int(comps[0])
         other = next(q for q in af if q != axis_party)
-        if abs(zf[other, w]) > tol:
+        if abs(zf[other, w]) > CONVERT_TOL:
             continue
-        if zf[axis_party, w] < -tol:
+        if zf[axis_party, w] < -CONVERT_TOL:
             continue
         if ai:
             p = ai[0]
-            comps_i = np.flatnonzero(np.abs(gi[p]) > tol)
+            comps_i = np.flatnonzero(np.abs(gi[p]) > CONVERT_TOL)
             if p != axis_party or len(comps_i) != 1 or int(comps_i[0]) != w:
                 continue
-            if gi[p, w] > zf[axis_party, w] + tol:
+            if gi[p, w] > zf[axis_party, w] + CONVERT_TOL:
                 continue
-        return axis_party, other, w
+        return ROW_AXIS_THEN_T, (axis_party, other, w)
     return None
 
 
-def can_convert(initial: FourQubitForm, final: FourQubitForm, tol: float = 1e-9) -> Verdict:
+#: The rows in the order they are tried: final tags, initial tags (None for
+#: any) and the condition, which returns (row, condition data) or None.
+_ROW_CONDITIONS = (
+    ((TAG_GENERAL_PLUS_AXES, TAG_AXIS_TRANSVERSE), None, _scaling_condition),
+    ((TAG_TWO_AXES,), (TAG_TWO_AXES,), _rectangle_condition),
+    ((TAG_GENERAL_ONE, TAG_AXIS_ONLY), (TAG_GENERAL_ONE, TAG_AXIS_ONLY, TAG_SEED),
+     _single_party_condition),
+    ((TAG_AXIS_TRANSVERSE, TAG_TWO_AXES), (TAG_AXIS_ONLY, TAG_SEED),
+     _axis_then_transverse_condition),
+)
+
+
+def _decide(initial: FourQubitForm, final: FourQubitForm):
+    """``(verdict, basis)``, where a convertible verdict's basis is what its
+    witness needs: the initial standard-form gammas, the final ones under the
+    matched Klein sign and the row's condition data (None for the identity)."""
+    if not same_slocc_class(initial.seed, final.seed):
+        raise DifferentSLOCCClass("seed parameter squares do not match")
+    ci = classify(initial)
+    cf = classify(final)
+    gi = ci.gammas
+
+    for ks, signs in enumerate(KLEIN_SIGNS):
+        zf = cf.gammas * signs
+        if np.max(np.abs(gi - zf)) <= CONVERT_TOL:
+            return Verdict(True, ROW_IDENTITY, ks), (gi, zf, None)
+
+    if ci.tag == TAG_ISOLATED or cf.tag == TAG_ISOLATED:
+        return Verdict(False, detail="isolated state"), None
+    if cf.tag in (TAG_SEED, TAG_MES):
+        return Verdict(False, detail="target cannot be reached by any other class"), None
+
+    for ks, signs in enumerate(KLEIN_SIGNS):
+        zf = cf.gammas * signs
+        for finals, initials, condition in _ROW_CONDITIONS:
+            if cf.tag in finals and (initials is None or ci.tag in initials):
+                match = condition(gi, zf)
+                if match is not None:
+                    return Verdict(True, match[0], ks), (gi, zf, match[1])
+    return Verdict(False, detail="no transformation row applies"), None
+
+
+def can_convert(initial: FourQubitForm, final: FourQubitForm) -> Verdict:
     """Decide deterministic LOCC convertibility initial -> final.
 
     Both states must sit in the same generic class (equal multisets of squared
@@ -565,41 +608,7 @@ def can_convert(initial: FourQubitForm, final: FourQubitForm, tol: float = 1e-9)
     parties (or axes) is never convertible.  Only the seed's sign gauge (the
     four simultaneous two-component flips) is quotiented out.
     """
-    if not same_slocc_class(initial.seed, final.seed):
-        raise DifferentSLOCCClass("seed parameter squares do not match")
-    ci = classify(initial)
-    cf = classify(final)
-    gi = ci.gammas
-
-    for ks, signs in enumerate(KLEIN_SIGNS):
-        if np.max(np.abs(gi - cf.gammas * signs)) <= tol:
-            return Verdict(True, ROW_IDENTITY, (0, 1, 2, 3), ks)
-
-    if ci.tag == TAG_ISOLATED or cf.tag == TAG_ISOLATED:
-        return Verdict(False, detail="isolated state")
-    if cf.tag in (TAG_SEED, TAG_MES):
-        return Verdict(False, detail="target cannot be reached by any other class")
-
-    for ks, signs in enumerate(KLEIN_SIGNS):
-        zf = cf.gammas * signs
-        if cf.tag in (TAG_GENERAL_PLUS_AXES, TAG_AXIS_TRANSVERSE):
-            if _scaling_condition(gi, zf, tol) is not None:
-                return Verdict(True, ROW_SCALING, (0, 1, 2, 3), ks)
-        if cf.tag == TAG_TWO_AXES and ci.tag == TAG_TWO_AXES:
-            if _rectangle_condition(gi, zf, tol) is not None:
-                return Verdict(True, ROW_RECTANGLE, (0, 1, 2, 3), ks)
-        if cf.tag in (TAG_GENERAL_ONE, TAG_AXIS_ONLY) and ci.tag in (
-            TAG_GENERAL_ONE, TAG_AXIS_ONLY, TAG_SEED
-        ):
-            hit = _single_party_condition(gi, zf, tol)
-            if hit is not None:
-                return Verdict(True, hit[2], (0, 1, 2, 3), ks)
-        if cf.tag in (TAG_AXIS_TRANSVERSE, TAG_TWO_AXES) and ci.tag in (
-            TAG_AXIS_ONLY, TAG_SEED
-        ):
-            if _axis_then_transverse_condition(gi, zf, tol) is not None:
-                return Verdict(True, ROW_AXIS_THEN_T, (0, 1, 2, 3), ks)
-    return Verdict(False, detail="no transformation row applies")
+    return _decide(initial, final)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -815,17 +824,18 @@ def _compose(step1, step2):
     return out
 
 
-def _witness_outcomes(row: str, gi: np.ndarray, zf: np.ndarray, tol: float):
+def _witness_outcomes(row: str, gi: np.ndarray, zf: np.ndarray, hit):
+    """Outcomes of the protocol for ``row``, from its condition data ``hit``."""
     if row == ROW_IDENTITY:
         return [((_I, _I, _I, _I), 0)]
 
     if row == ROW_SCALING:
-        w, party, s = _scaling_condition(gi, zf, tol)
+        w, party, s = hit
         p = (1.0 + s) / 2.0
         return _two_outcome_step(party, gi[party], zf[party], p, w + 1)
 
     if row == ROW_RECTANGLE:
-        (p1, u), (p2, v) = _rectangle_condition(gi, zf, tol)
+        (p1, u), (p2, v) = hit
         s1 = gi[p1, u] / zf[p1, u]
         s2 = gi[p2, v] / zf[p2, v]
         mid = gi.copy()
@@ -835,7 +845,7 @@ def _witness_outcomes(row: str, gi: np.ndarray, zf: np.ndarray, tol: float):
         return _compose(step1, step2)
 
     if row in (ROW_GENERAL, ROW_PLANE, ROW_AXIS):
-        party, eta, _ = _single_party_condition(gi, zf, tol)
+        party, eta = hit
         probs = np.clip(_eta_to_probs(eta), 0.0, None)
         probs /= probs.sum()
         h = sqrt_g(zf[party])
@@ -849,26 +859,23 @@ def _witness_outcomes(row: str, gi: np.ndarray, zf: np.ndarray, tol: float):
             outcomes.append((tuple(ops), k))
         return outcomes
 
-    if row == ROW_AXIS_THEN_T:
-        axis_party, other, w = _axis_then_transverse_condition(gi, zf, tol)
-        g_axis = gi[axis_party]
-        ratio = g_axis[w] / zf[axis_party, w] if abs(zf[axis_party, w]) > tol else 1.0
-        steps = []
-        if abs(g_axis[w] - zf[axis_party, w]) > tol:
-            c = next(u for u in range(3) if u != w)
-            steps.append(_two_outcome_step(
-                axis_party, g_axis, zf[axis_party], (1.0 + ratio) / 2.0, c + 1))
-        steps.append(_two_outcome_step(other, np.zeros(3), zf[other], 0.5, w + 1))
-        combined = steps[0]
-        for s in steps[1:]:
-            combined = _compose(combined, s)
-        return combined
-
-    raise NotConvertible(f"no witness construction for row {row!r}")
+    # ROW_AXIS_THEN_T
+    axis_party, other, w = hit
+    g_axis = gi[axis_party]
+    ratio = g_axis[w] / zf[axis_party, w] if abs(zf[axis_party, w]) > CONVERT_TOL else 1.0
+    steps = []
+    if abs(g_axis[w] - zf[axis_party, w]) > CONVERT_TOL:
+        c = next(u for u in range(3) if u != w)
+        steps.append(_two_outcome_step(
+            axis_party, g_axis, zf[axis_party], (1.0 + ratio) / 2.0, c + 1))
+    steps.append(_two_outcome_step(other, np.zeros(3), zf[other], 0.5, w + 1))
+    combined = steps[0]
+    for s in steps[1:]:
+        combined = _compose(combined, s)
+    return combined
 
 
-def povm_witness(initial: FourQubitForm, final: FourQubitForm,
-                 tol: float = 1e-9) -> PovmWitness:
+def povm_witness(initial: FourQubitForm, final: FourQubitForm) -> PovmWitness:
     """Construct and verify the local POVM implementing initial -> final.
 
     The witness is checked three ways before being returned: the outcome
@@ -877,14 +884,11 @@ def povm_witness(initial: FourQubitForm, final: FourQubitForm,
     outcome applied to the initial state vector must be collinear with the
     target state vector (same LU class representative).
     """
-    verdict = can_convert(initial, final, tol)
+    verdict, basis = _decide(initial, final)
     if not verdict:
         raise NotConvertible(verdict.detail or "states are not LOCC related")
-    ci = classify(initial)
-    gi = ci.gammas
-    zf = classify(final).gammas * KLEIN_SIGNS[verdict.klein]
-
-    outcomes = _witness_outcomes(verdict.row, gi, zf, tol)
+    gi, zf, hit = basis
+    outcomes = _witness_outcomes(verdict.row, gi, zf, hit)
 
     mats = [kron4(*ops) for ops, _ in outcomes]
     total = sum(m.conj().T @ m for m in mats)

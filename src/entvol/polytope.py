@@ -55,8 +55,10 @@ class HalfspaceSystem:
     def __post_init__(self) -> None:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         b = np.asarray(self.b, dtype=float).ravel()
-        if A.shape[0] != b.shape[0]:
-            raise InconsistentInput(f"A has {A.shape[0]} rows, b has {b.shape[0]}")
+        if A.ndim != 2 or A.shape[0] != b.shape[0]:
+            raise InconsistentInput(f"A has shape {A.shape}, b has {b.shape[0]} rows")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise InconsistentInput("A and b must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -68,8 +70,8 @@ class HalfspaceSystem:
     def k(self) -> int:
         return self.A.shape[1]
 
-    def contains(self, x: np.ndarray, tol: float = EPS_GEOM) -> bool:
-        return bool(np.all(self.A @ np.asarray(x, dtype=float) + self.b >= -tol))
+    def contains(self, x: np.ndarray) -> bool:
+        return bool(np.all(self.A @ np.asarray(x, dtype=float) + self.b >= -EPS_GEOM))
 
     def to_json(self) -> dict:
         return {"A": self.A.tolist(), "b": self.b.tolist()}
@@ -87,7 +89,12 @@ class VertexSet:
     tight_sets: tuple[frozenset[int], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        V = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        V = np.asarray(self.vertices, dtype=float)
+        if V.shape[:1] == (0,):
+            raise InconsistentInput("a vertex set needs at least one vertex")
+        V = np.atleast_2d(V)
+        if V.ndim != 2 or not np.all(np.isfinite(V)):
+            raise InconsistentInput(f"vertices must be a finite (n, k) array, not {V.shape}")
         object.__setattr__(self, "vertices", V)
 
     @property
@@ -124,7 +131,7 @@ def _check_bounded_feasible(H: HalfspaceSystem) -> None:
                 raise InconsistentInput(f"LP solver failure: {res.message}")
 
 
-def enumerate_vertices(H: HalfspaceSystem, tol: float = EPS_GEOM) -> VertexSet:
+def enumerate_vertices(H: HalfspaceSystem) -> VertexSet:
     """All vertices of the polytope {A x + b >= 0} by k-subset intersection.
 
     Cost is O(C(m, k) k^3), fine for the small systems this package builds.
@@ -142,9 +149,9 @@ def enumerate_vertices(H: HalfspaceSystem, tol: float = EPS_GEOM) -> VertexSet:
         if abs(np.linalg.det(A_sub)) < 1e-13:
             continue
         x = np.linalg.solve(A_sub, -H.b[list(rows)])
-        if not np.all(H.A @ x + H.b >= -tol):
+        if not np.all(H.A @ x + H.b >= -EPS_GEOM):
             continue
-        if any(np.linalg.norm(x - v) <= tol for v in verts):
+        if any(np.linalg.norm(x - v) <= EPS_GEOM for v in verts):
             continue
         verts.append(x)
 
@@ -152,11 +159,11 @@ def enumerate_vertices(H: HalfspaceSystem, tol: float = EPS_GEOM) -> VertexSet:
         raise Infeasible("feasible but no vertex found; system is degenerate")
     V = np.array(verts)
     slack = V @ H.A.T + H.b  # (n, m)
-    tight = tuple(frozenset(np.flatnonzero(np.abs(slack[i]) <= tol)) for i in range(len(verts)))
+    tight = tuple(frozenset(np.flatnonzero(np.abs(row) <= EPS_GEOM)) for row in slack)
     return VertexSet(V, tight)
 
 
-def vertex_adjacency(H: HalfspaceSystem, V: VertexSet, tol: float = EPS_GEOM) -> list[list[int]]:
+def vertex_adjacency(H: HalfspaceSystem, V: VertexSet) -> list[list[int]]:
     """Adjacency lists: u, v are neighbors iff their common tight rows pin a line.
 
     Two distinct vertices of a bounded polytope lie on a common edge exactly
@@ -167,7 +174,7 @@ def vertex_adjacency(H: HalfspaceSystem, V: VertexSet, tol: float = EPS_GEOM) ->
     if not V.tight_sets or len(V.tight_sets) != V.n:
         raise InconsistentInput("vertex set carries no tight sets for this system")
     for i in range(V.n):
-        if not H.contains(V.vertices[i], tol):
+        if not H.contains(V.vertices[i]):
             raise InconsistentInput(f"vertex {i} infeasible for the given system")
 
     k = H.k
@@ -182,23 +189,23 @@ def vertex_adjacency(H: HalfspaceSystem, V: VertexSet, tol: float = EPS_GEOM) ->
     return adj
 
 
-def affine_dimension(vertices: np.ndarray, tol: float = EPS_GEOM) -> int:
+def affine_dimension(vertices: np.ndarray) -> int:
     """Dimension of the affine hull (rank of differences to the first vertex)."""
     V = np.atleast_2d(np.asarray(vertices, float))
     if V.shape[0] <= 1:
         return 0
     diffs = V[1:] - V[0]
     s = np.linalg.svd(diffs, compute_uv=False)
-    return int(np.sum(s > tol))
+    return int(np.sum(s > EPS_GEOM))
 
 
-def affine_basis(vertices: np.ndarray, tol: float = EPS_GEOM) -> tuple[np.ndarray, np.ndarray]:
+def affine_basis(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of the affine hull and its base point (the centroid)."""
     V = np.atleast_2d(np.asarray(vertices, float))
     center = V.mean(axis=0)
     diffs = V - center
     _, s, vt = np.linalg.svd(diffs, full_matrices=False)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > EPS_GEOM))
     return vt[:rank].T, center  # columns are basis vectors
 
 
@@ -208,7 +215,7 @@ def is_simple(V: VertexSet, adjacency: list[list[int]]) -> bool:
     return all(len(nbrs) == k for nbrs in adjacency)
 
 
-def volume_triangulation(V: VertexSet | np.ndarray, tol: float = EPS_GEOM) -> tuple[float, int]:
+def volume_triangulation(V: VertexSet | np.ndarray) -> tuple[float, int]:
     """Volume inside the affine hull: qhull's volume of the convex hull.
 
     Returns ``(volume, dimension)``.  A polytope whose affine hull is a point
@@ -216,10 +223,10 @@ def volume_triangulation(V: VertexSet | np.ndarray, tol: float = EPS_GEOM) -> tu
     dimension, not an exception, so measure-zero sets stay representable).
     """
     pts = V.vertices if isinstance(V, VertexSet) else np.atleast_2d(np.asarray(V, float))
-    dim = affine_dimension(pts, tol)
+    dim = affine_dimension(pts)
     if dim == 0:
         return 0.0, 0
-    basis, center = affine_basis(pts, tol)
+    basis, center = affine_basis(pts)
     coords = (pts - center) @ basis  # (n, dim)
     if dim == 1:
         xs = coords[:, 0]

@@ -47,7 +47,7 @@ class SchmidtVector:
         if len(c) == 0:
             raise EmptyInput("Schmidt vector needs at least one component")
         if not all(math.isfinite(x) for x in c):
-            raise NonFinite(f"non-finite component in {c}")
+            raise NonFinite("Schmidt components must be finite")
         if any(x < -EPS_NORM for x in c):
             raise NegativeComponent(f"negative component in {c}")
         if abs(sum(c) - 1.0) > EPS_NORM:
@@ -80,7 +80,7 @@ def canonicalize(raw: Iterable[float]) -> SchmidtVector:
     if not values:
         raise EmptyInput("empty Schmidt vector")
     if not all(math.isfinite(x) for x in values):
-        raise NonFinite(f"non-finite component in {values}")
+        raise NonFinite("Schmidt components must be finite")
     if any(x < -EPS_NORM for x in values):
         raise NegativeComponent(f"component below -{EPS_NORM} in {values}")
     values = [max(x, 0.0) for x in values]

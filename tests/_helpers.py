@@ -1,5 +1,6 @@
-"""Shared test helpers: the d!-term source oracles and the random-state and
-random-pair generators of the four-qubit tests."""
+"""Shared test helpers: the d!-term source oracles (the signed sum and the
+permutation hull of lam) and the random-state and random-pair generators of
+the four-qubit tests."""
 
 from __future__ import annotations
 
@@ -56,6 +57,33 @@ def permutation_sum_exact(lam) -> Fraction:
     total = sum(w * (2 * sum(si * ni for si, ni in zip(s, n)) - (d + 1) * D) ** (d - 1)
                 for s, w in zip(perms, weights))
     return Fraction(total, lcm * (2 * D) ** (d - 1))
+
+
+# -- the permutation hull of lam, the source set over unsorted vectors ---------
+
+def source_polytope_vertices(lam) -> np.ndarray:
+    """All d! coordinate permutations of lam (the hull's vertex list)."""
+    arr = lam.as_array()
+    return np.array([arr[list(p)] for p in itertools.permutations(range(lam.d))])
+
+
+def source_polytope_adjacency(d: int) -> list[list[int]]:
+    """Neighbor lists under the adjacent-value-swap rule.
+
+    The neighbors of the vertex indexed by sigma are obtained by composing
+    sigma with the transposition of the values i, i+1; for non-degenerate lam
+    these are exactly the polytope edges, d-1 per vertex.
+    """
+    perms = list(itertools.permutations(range(d)))
+    index = {p: i for i, p in enumerate(perms)}
+    adj = []
+    for p in perms:
+        nbrs = []
+        for i in range(d - 1):
+            q = tuple(i + 1 if x == i else (i if x == i + 1 else x) for x in p)
+            nbrs.append(index[q])
+        adj.append(nbrs)
+    return adj
 
 
 def fixed_seed_params() -> SeedParams:

@@ -19,8 +19,6 @@ from entvol.bipartite import (
     accessible_volume,
     source_entanglement,
     source_entanglement_k,
-    source_polytope_adjacency,
-    source_polytope_vertices,
     source_volume,
 )
 from entvol.fourqubit import (
@@ -44,7 +42,12 @@ from entvol.oracle import McConfig, mc_accessible_volume, mc_source_volume
 from entvol.polytope import VertexSet, brion_volume, volume_triangulation
 from entvol.schmidt import canonicalize, maximally_entangled, separable
 
-from _helpers import PAIR_GENERATORS, fixed_seed_params
+from _helpers import (
+    PAIR_GENERATORS,
+    fixed_seed_params,
+    source_polytope_adjacency,
+    source_polytope_vertices,
+)
 
 SEED_PARAMS = fixed_seed_params()
 SQ3 = math.sqrt(3)

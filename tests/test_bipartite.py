@@ -20,8 +20,6 @@ from entvol.bipartite import (
     source_entanglement,
     source_entanglement_k,
     source_entanglement_sup,
-    source_polytope_adjacency,
-    source_polytope_vertices,
     source_volume,
 )
 from entvol.oracle import McConfig, mc_source_volume
@@ -35,7 +33,12 @@ from entvol.schmidt import (
     sorted_region_volume,
 )
 
-from _helpers import permutation_sum, permutation_sum_exact
+from _helpers import (
+    permutation_sum,
+    permutation_sum_exact,
+    source_polytope_adjacency,
+    source_polytope_vertices,
+)
 
 SQ2 = math.sqrt(2)
 SQ3 = math.sqrt(3)
@@ -245,12 +248,26 @@ def test_guaranteed_vertices_d4():
         assert sum(v.components) == pytest.approx(1.0, abs=1e-12)
 
 
+def _is_vertex(v, lam):
+    """Whether the sorted vector v is a vertex of lam's enumerated accessible set."""
+    proj = np.asarray(v.components)[: lam.d - 1]
+    return any(np.linalg.norm(proj - w) <= 1e-8 for w in accessible_vertices(lam).vertices)
+
+
 def test_guaranteed_vertices_random_membership():
     rng = np.random.default_rng(21)
     for d in (3, 4, 5):
         for _ in range(5):
             lam = canonicalize(rng.dirichlet(np.ones(d)) + 0.02)
-            guaranteed_vertices(lam)  # raises on a miss
+            for v in guaranteed_vertices(lam):
+                assert _is_vertex(v, lam), (lam.components, v.components)
+
+
+def test_guaranteed_vertices_need_no_geometry():
+    lam = canonicalize(np.random.default_rng(22).dirichlet(np.ones(12)))
+    vs = guaranteed_vertices(lam)
+    assert len(vs) == 10
+    assert all(majorizes(v, lam) for v in vs)
 
 
 def test_max_entangled_accessible():
@@ -259,6 +276,21 @@ def test_max_entangled_accessible():
     assert not max_entangled_accessible(hi, 2)
     assert max_entangled_accessible(lo, 2)
     assert max_entangled_accessible(hi, 1)
+    assert max_entangled_accessible(maximally_entangled(10), 2)
+
+
+def test_max_entangled_accessible_matches_vertex_set():
+    # the closed form lam_1 <= 1/k against the geometry: a reachable flat
+    # state of rank k is a vertex of the accessible set
+    rng = np.random.default_rng(23)
+    for d in (3, 4, 5):
+        for _ in range(5):
+            lam = canonicalize(rng.dirichlet(np.ones(d)))
+            for k in range(2, d + 1):
+                if max_entangled_accessible(lam, k):
+                    assert _is_vertex(embed(maximally_entangled(k), d), lam)
+                else:
+                    assert not majorizes(embed(maximally_entangled(k), d), lam)
 
 
 def test_closed_form_matches_hull_volume():

@@ -205,6 +205,15 @@ def test_rank_caps(capsys, argv, expected):
 
 
 ZERO_GAMMAS = "0,0,0;0,0,0;0,0,0;0,0,0"
+RAGGED_GAMMAS = "0,0;0,0,0;0,0,0;0,0,0"
+#: Payloads that ``json.loads`` accepts but no polytope has.
+BAD_PAYLOADS = {
+    "nan_a": '{"A": [[NaN, 0], [0, 1], [-1, 0], [0, -1]], "b": [0, 0, 1, 1]}',
+    "inf_b": '{"A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": [0, 0, Infinity, 1]}',
+    "nan_vertices": '{"vertices": [[0, 0], [1, NaN], [0, 1]]}',
+    "inf_vertices": '{"vertices": [[0, 0], [1, 0], [-Infinity, 1]]}',
+    "no_vertices": '{"vertices": []}',
+}
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -220,6 +229,20 @@ ZERO_GAMMAS = "0,0,0;0,0,0;0,0,0;0,0,0"
     (["fourqubit", "sweep", f"--from-gammas={ZERO_GAMMAS}", f"--to-gammas={ZERO_GAMMAS}",
       "--steps", "0"], 64),
     (["bipartite", "accessible", "--schmidt", "1", "--json"], 0),
+    (["fourqubit", "classify", f"--gammas={RAGGED_GAMMAS}"], 64),
+    (["fourqubit", "measures", f"--gammas={RAGGED_GAMMAS}"], 64),
+    (["fourqubit", "convert", f"--from-gammas={RAGGED_GAMMAS}", f"--to-gammas={ZERO_GAMMAS}"], 64),
+    (["fourqubit", "witness", f"--from-gammas={ZERO_GAMMAS}", f"--to-gammas={RAGGED_GAMMAS}"], 64),
+    (["oracle", "region", "--region", "reachable", f"--gammas={RAGGED_GAMMAS}"], 64),
+    (["fourqubit", "sweep", "--from-gammas=0,0,0;0,0,0", f"--to-gammas={ZERO_GAMMAS}",
+      "--steps", "2"], 2),
+    (["polytope", "volume", "--input", "{nan_a}", "--json"], 2),
+    (["polytope", "vertices", "--input", "{nan_a}"], 2),
+    (["polytope", "volume", "--input", "{inf_b}", "--json"], 2),
+    (["polytope", "vertices", "--input", "{inf_b}"], 2),
+    (["polytope", "volume", "--input", "{nan_vertices}", "--json"], 2),
+    (["polytope", "volume", "--input", "{inf_vertices}"], 2),
+    (["polytope", "volume", "--input", "{no_vertices}", "--json"], 2),
 ])
 def test_input_failures_exit_cleanly(tmp_path, argv, expected):
     # a cold process, so that an uncaught exception shows as it would to a user
@@ -227,12 +250,18 @@ def test_input_failures_exit_cleanly(tmp_path, argv, expected):
     # neither a four-qubit form (no "seed") nor an H-representation (no "b")
     (tmp_path / "no_keys.json").write_text('{"A": [[1.0]], "gammas": [[0, 0, 0]]}',
                                            encoding="utf-8")
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "malformed", "no_keys")}
+    for name, text in BAD_PAYLOADS.items():
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    paths = {name: str(tmp_path / f"{name}.json")
+             for name in ("missing", "malformed", "no_keys", *BAD_PAYLOADS)}
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "entvol.cli"] + [a.format(**paths) for a in argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+    if expected == 2:
+        assert json.loads(proc.stdout)["error"] in ("polytope.InconsistentInput",
+                                                    "fourqubit.UnclassifiedForm")
     if expected == 0:
         payload = json.loads(proc.stdout)
-        assert (payload["E_a"], payload["dimension"], payload["vertices"]) == (0.0, 0, 1)
+        assert (payload["E_a"], payload["dimension"], payload["vertices"]) == (1.0, 0, 1)

@@ -49,6 +49,14 @@ def test_accessible_flat_state_full_region():
         assert res.estimate == pytest.approx(sorted_region_volume(d), abs=1e-12)
 
 
+def test_rank_one_point_has_volume_one():
+    # one convention for the single point (1,): its 0-volume is 1 on every route
+    lam = canonicalize([1])
+    res = mc_accessible_volume(lam, McConfig(samples=1_000, seed=0))
+    assert res.estimate == accessible_volume(lam)[0] == 1.0
+    assert mc_source_volume(lam, McConfig(samples=1_000, seed=0)).estimate == source_volume(lam) == 1.0
+
+
 def test_accessible_matches_formula_and_engine():
     cfg = McConfig(samples=400_000, seed=5)
     lam = canonicalize([0.6, 0.27, 0.13])

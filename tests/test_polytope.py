@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from entvol import errors
-from entvol.bipartite import (
-    accessible_hrep,
-    accessible_vertices,
-    source_polytope_adjacency,
-    source_polytope_vertices,
-)
+from entvol.bipartite import accessible_hrep, accessible_vertices
 from entvol.polytope import (
     HalfspaceSystem,
     VertexSet,
@@ -24,6 +19,8 @@ from entvol.polytope import (
     volume_triangulation,
 )
 from entvol.schmidt import SchmidtVector, canonicalize
+
+from _helpers import source_polytope_adjacency, source_polytope_vertices
 
 
 UNIT_SQUARE = HalfspaceSystem(
