@@ -28,12 +28,44 @@ so there is no cancellation and ties or trailing zeros need no special case.
 E_s = 1 - V(0, d) / V_sorted, the separable state's chamber being the whole
 sorted region.
 
-Accessible side (geometry).  After eliminating the last component by
-normalization, the accessible set is the polytope in R^(d-1) cut out by the
-d-1 majorization rows and the d ordering/positivity rows; its volume is found
-by vertex enumeration plus qhull's hull volume and converted to the intrinsic
-convention with the sqrt(d) Jacobian.  A set of lower dimension than d-1,
-such as the separable state's single target, gets E_a = 0.
+Accessible side (vertex construction and Lasserre's recursion).  In the
+same partial sums the targets of rank <= k that lam reaches form the
+(k-1)-polytope {M concave on 0..k, M_0 = 0, M_k = 1, M_j >= Lam_j for j < k,
+M_(k-1) <= 1}: k-1 floors, k-1 ordering (concavity) rows and mu_k >= 0, in
+the row order of ``accessible_hrep``.  M is a vertex when no nonzero
+perturbation keeps it feasible both ways.  Such a perturbation vanishes at
+the pins of M (0, k, every contact M_t = Lam_t and, when mu_k = 0, k-1) and
+bends only where M has a knot.  Read from left to right, that leaves one
+number of state, the slope of the current piece, which is either pinned or
+one unknown theta: a stretch between two pins without a knot pins the line
+through them; one knot passes the state on; two knots need a pinned slope
+and leave a free one; a pin where M bends needs a pinned slope and starts a
+free one; and M must end pinned.  As Lam is concave, a piece of M touches
+Lam at two points only where it extends Lam's own segment (t, t+1, or longer
+across a tie), and the last piece may be flat at 1 (mu_k = 0).  The
+construction walks these patterns, keeps every value affine in theta and the
+interval of theta that keeps every floor, kink and mu_k >= 0 off the pins
+strict, and drops a pattern as soon as that interval empties; strictness
+makes every vertex come out exactly once.  No LP and no linear solve is
+involved.
+
+The volume follows Lasserre (1983): for a face F of dimension m and an apex
+v of F,
+
+    vol(F) = 1/m * sum over the facets G of F that miss v of h(v, G) vol(G),
+
+where G is cut from F by a row r and h(v, G) = slack_r(v) / |P_F a_r|, P_F
+projecting onto the directions of F (orthogonal to the normals of the rows
+tight on all of F).  The slack of a feasible apex is >= 0 and |P_F a_r| > 0,
+so every term is nonnegative and nothing cancels.  Faces are keyed by the
+bitmask of their vertices and computed once; each new face updates P_F a_r by
+one rank-one projection.  Ties, trailing zeros and the flat state make the
+polytope degenerate (several rows may cut the same facet, and an intersection
+may be smaller than a facet); the rank test on the rows tight on G handles
+that.  The volume is measured in the first k-1 coordinates and converted to
+the intrinsic convention with the sqrt(k) Jacobian.  A set of lower
+dimension than k-1, such as the separable state's single target, gets
+E_a = 0.
 
 Rank 1.  The single point (1,) is the whole sorted region, and its 0-volume
 is 1, as in ``sorted_region_volume(1)`` and the Monte-Carlo oracles.  So at
@@ -49,12 +81,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, IndexOutOfRange, ShrinkNotAllowed
-from .polytope import (
-    HalfspaceSystem,
-    VertexSet,
-    enumerate_vertices,
-    volume_triangulation,
-)
+from .polytope import EPS_GEOM, HalfspaceSystem, VertexSet
+# Not called here: bench/harness.py::install_layer_spans wraps these two names
+# on this module by name in every traced run.
+from .polytope import enumerate_vertices, volume_triangulation  # noqa: F401
 from .schmidt import (
     EPS_NORM,
     SchmidtVector,
@@ -67,10 +97,11 @@ from .schmidt import (
 #: up to here (E_s within 1e-13 of 0 on the separable state, of 1 on the flat).
 MAX_EXACT_DIM = 16
 
-#: Largest target rank of the accessible measures: vertex enumeration solves
-#: C(2k-1, k-1) systems, and one rank-10 vector ran past 590 s on a 2-vCPU
-#: machine.
-MAX_ACCESSIBLE_DIM = 9
+#: Largest target rank of the accessible measures.  The faces that the volume
+#: recursion visits grow about threefold per rank (about 9k at rank 10, 27k
+#: at 11 and 83k at 12 on Dirichlet vectors), and so does the time: a rank-12
+#: call took 1.0-1.9 s (median 1.2-1.6 s) on a shared 2-vCPU machine.
+MAX_ACCESSIBLE_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -206,46 +237,247 @@ def _restricted_accessible_hrep(lam: SchmidtVector, k: int) -> HalfspaceSystem:
     return HalfspaceSystem(np.array(rows), np.array(offs))
 
 
-def _restricted_accessible_vertices(lam: SchmidtVector, k: int) -> VertexSet:
-    """Vertices of the accessible targets of rank <= k, in k-1 coordinates."""
+def _chamber_vertices(cum: list[float], k: int) -> list[list[float]]:
+    """Partial sums M_0..M_k of every vertex of the rank-<=k accessible set.
+
+    ``cum[t]`` is Lam_t for t < k.  The walk is the one in the module
+    docstring: ``vals`` holds (a, b) with M_t = a + b * theta, and ``iv`` the
+    interval of theta that keeps every point off the pins strict so far.
+    """
+    out: list[list[float]] = []
+    whole = (-math.inf, math.inf)
+
+    def pins(t: int) -> tuple[float, ...]:
+        if t == k:
+            return (1.0,)
+        if t == k - 1 and cum[t] != 1.0:  # a contact, or mu_k = 0
+            return (cum[t], 1.0)
+        return (cum[t],)
+
+    def cut(iv, a: float, b: float):
+        """Keep the theta with a + b * theta >= EPS_GEOM (None: none left)."""
+        if iv is None:
+            return None
+        lo, hi = iv
+        if b == 0.0:
+            return iv if a >= EPS_GEOM else None
+        r = (EPS_GEOM - a) / b
+        if b > 0.0:
+            lo = max(lo, r)
+        else:
+            hi = min(hi, r)
+        return (lo, hi) if lo <= hi else None
+
+    def off_pin(iv, t: int, a: float, b: float):
+        """Point t, with M_t = a + b theta, strictly above its floor (and below 1)."""
+        iv = cut(iv, a - cum[t], b)
+        if t == k - 1:
+            iv = cut(iv, 1.0 - a, -b)
+        return iv
+
+    def line(vals, s, lo: int, hi: int):
+        """Values at lo..hi-1 of the line of slope s through the last pin."""
+        z = len(vals) - 1
+        az = vals[z][0]
+        return [(az + s[0] * (u - z), s[1] * (u - z)) for u in range(lo, hi)]
+
+    def walk(vals, s, iv, free: bool) -> None:
+        """Go on from the last pin z along the line of slope s."""
+        z = len(vals) - 1
+        az = vals[z][0]
+        for t in range(z + 1, k + 1):
+            ma, mb = az + s[0] * (t - z), s[1] * (t - z)
+            for pin in pins(t):  # t is the next pin, with no knot before it
+                if not free:
+                    if abs(ma - pin) <= EPS_GEOM:
+                        arrive(vals + line(vals, s, z + 1, t) + [(pin, 0.0)], s, whole, False)
+                elif mb != 0.0:
+                    th = (pin - ma) / mb
+                    if iv[0] <= th <= iv[1]:
+                        done = [(a + b * th, 0.0) for a, b in vals + line(vals, s, z + 1, t)]
+                        arrive(done + [(pin, 0.0)], (s[0] + s[1] * th, 0.0), whole, False)
+            if t == k:
+                return
+            knot(vals, s, t, iv, free)  # t is a knot
+            iv = off_pin(iv, t, ma, mb)  # t is neither
+            if iv is None:
+                return
+
+    def knot(vals, s, q: int, iv, free: bool) -> None:
+        """A knot at q, then the next pin z2, possibly with a second knot q2."""
+        z = len(vals) - 1
+        mq = (vals[z][0] + s[0] * (q - z), s[1] * (q - z))
+        iv = off_pin(iv, q, *mq)
+        if iv is None:
+            return
+        head = vals + line(vals, s, z + 1, q + 1)
+        for z2 in range(q + 1, k + 1):
+            for pin in pins(z2):
+                # one knot: the next piece runs from (q, M_q) to the pin
+                s2 = ((pin - mq[0]) / (z2 - q), -mq[1] / (z2 - q))
+                jv = cut(iv, s[0] - s2[0], s[1] - s2[1])  # M bends down at q
+                pts = []
+                for u in range(q + 1, z2):
+                    pts.append((mq[0] + s2[0] * (u - q), mq[1] + s2[1] * (u - q)))
+                    jv = off_pin(jv, u, *pts[-1])
+                if jv is not None:
+                    arrive(head + pts + [(pin, 0.0)], s2, jv, free)
+                if free or z2 == k:
+                    continue
+                # two knots: a fresh theta is the slope of the piece through the
+                # pin, and the middle piece joins (q, M_q) to (q2, pin - theta (z2 - q2))
+                for q2 in range(q + 1, z2):
+                    mid = ((pin - mq[0]) / (q2 - q), -(z2 - q2) / (q2 - q))
+                    jv = cut(whole, s[0] - mid[0], -mid[1])  # bend at q
+                    jv = cut(jv, mid[0], mid[1] - 1.0)  # bend at q2
+                    pts = []
+                    for u in range(q + 1, z2):
+                        if u <= q2:
+                            pts.append((mq[0] + mid[0] * (u - q), mid[1] * (u - q)))
+                        else:
+                            pts.append((pin, -float(z2 - u)))
+                        jv = off_pin(jv, u, *pts[-1])
+                    if jv is not None:
+                        walk(head + pts + [(pin, 0.0)], (0.0, 1.0), jv, True)
+
+    def arrive(vals, s, iv, free: bool) -> None:
+        """At a pin reached along slope s: end, go straight on, or bend there."""
+        if len(vals) == k + 1:
+            if not free:
+                out.append([a for a, _ in vals])
+            return
+        walk(vals, s, iv, free)
+        if not free:
+            walk(vals, (0.0, 1.0), (-math.inf, s[0] - EPS_GEOM), True)
+
+    walk([(0.0, 0.0)], (0.0, 1.0), whole, True)
+    return out
+
+
+def _accessible_polytope(lam: SchmidtVector, k: int) -> tuple[HalfspaceSystem, VertexSet]:
+    """H-representation and vertices (with tight sets) of the rank-<=k targets."""
     if k > MAX_ACCESSIBLE_DIM:
         raise DimensionTooLarge(f"rank {k} exceeds the accessible cap {MAX_ACCESSIBLE_DIM}")
     if k == 1:
-        return VertexSet(np.zeros((1, 0)))  # the single target (1,)
-    return enumerate_vertices(_restricted_accessible_hrep(lam, k))
+        return HalfspaceSystem(np.zeros((0, 0)), np.zeros(0)), VertexSet(np.zeros((1, 0)))
+    H = _restricted_accessible_hrep(lam, k)
+    cum = list(itertools.accumulate(lam.components[: k - 1], initial=0.0))
+    M = np.array(_chamber_vertices(cum, k))
+    V = np.diff(M[:, :k], axis=1)  # mu_1 .. mu_(k-1)
+    tight = np.abs(V @ H.A.T + H.b) <= EPS_GEOM
+    found: dict[frozenset[int], np.ndarray] = {}
+    for v, row in zip(V, tight):  # a vertex is fixed by its tight set
+        found.setdefault(frozenset(np.flatnonzero(row).tolist()), v)
+    # listed as enumerate_vertices lists a simple polytope's vertices:
+    # lexicographically by their tight rows
+    order = sorted(found, key=sorted)
+    return H, VertexSet(np.array([found[t] for t in order]), tuple(order))
+
+
+def _face_volume(H: HalfspaceSystem, V: VertexSet) -> tuple[float, int]:
+    """Volume of conv(V) inside its affine hull, and its dimension, by
+    Lasserre's recursion over faces (see the module docstring).
+
+    Faces and row sets are bitmasks: bit i of a face is vertex i, bit r of a
+    row set is row r of H.  ``memo`` maps a face to (volume, dimension, the
+    rows tight on all of it).
+    """
+    A = H.A
+    n_rows, n = A.shape
+    slack = (V.vertices @ A.T + H.b).tolist()
+    pts = V.vertices.tolist()
+    masks = [sum(1 << r for r in ts) for ts in V.tight_sets]
+    on_row = [sum(1 << i for i, mk in enumerate(masks) if mk >> r & 1) for r in range(n_rows)]
+    every = (1 << V.n) - 1
+    off_row = [every & ~x for x in on_row]
+    implicit = [r for r in range(n_rows) if not off_row[r]]
+    W = A.T.copy()  # column r: the projection of row r's normal onto the face
+    if implicit:
+        basis, sv, _ = np.linalg.svd(A[implicit].T, full_matrices=False)
+        basis = basis[:, sv > EPS_GEOM]
+        W -= basis @ (basis.T @ W)
+        n -= basis.shape[1]
+    if n == 0:
+        return 0.0, 0
+    # in a simple polytope a row cutting a face meets it in a facet whose
+    # tight rows are the face's and that row, so the search for more is skipped
+    simple = not implicit and all(mk.bit_count() == n for mk in masks)
+    memo: dict[int, tuple[float, int, int]] = {}
+
+    def vol(F: int, rows_F: int, W: np.ndarray, m: int) -> float:
+        apex = F.bit_length() - 1
+        if m == 1:  # an edge: the distance between its two vertices
+            return math.dist(pts[apex], pts[(F ^ 1 << apex).bit_length() - 1])
+        norms = np.sqrt(np.einsum("ij,ij->j", W, W)).tolist()
+        s_apex = slack[apex]
+        facing = ~(masks[apex] | rows_F) & (1 << n_rows) - 1  # rows whose facets miss the apex
+        todo = facing
+        total = 0.0
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            r = bit.bit_length() - 1
+            G = F & on_row[r]
+            if not G:
+                continue
+            hit = memo.get(G)
+            if hit is None:
+                rows_G = rows_F | bit
+                extra = []  # rows tight on all of G beyond r (degenerate polytopes)
+                more = 0 if simple else masks[G.bit_length() - 1] & ~rows_G
+                while more:
+                    low = more & -more
+                    more ^= low
+                    if not G & off_row[low.bit_length() - 1]:
+                        rows_G |= low
+                        extra.append(low.bit_length() - 1)
+                W_G = None
+                if m > 2 or extra:
+                    u = W[:, r] / norms[r]
+                    W_G = W - u[:, None] * (u @ W)
+                    if extra and np.max(np.abs(W_G[:, extra])) > EPS_GEOM:
+                        continue  # more than one new direction: a smaller face of F
+                memo[G] = hit = (vol(G, rows_G, W_G, m - 1), m - 1, rows_G)
+            elif hit[1] != m - 1 or hit[2] & facing & bit - 1:
+                continue  # not a facet of F, or already counted under a lower row
+            total += s_apex[r] / norms[r] * hit[0]
+        return total / m
+
+    return vol(every, sum(1 << r for r in implicit), W, n), n
 
 
 def accessible_vertices(lam: SchmidtVector) -> VertexSet:
-    return _restricted_accessible_vertices(lam, lam.d)
+    return _accessible_polytope(lam, lam.d)[1]
 
 
-def _accessible_report(lam: SchmidtVector, k: int) -> MeasureReport:
-    """Enumerate the vertices, take the hull volume, apply the sqrt(k) Jacobian."""
+def _accessible_report(lam: SchmidtVector, k: int) -> tuple[MeasureReport, VertexSet]:
+    """Build the vertices, run the face recursion, apply the sqrt(k) Jacobian."""
     sup = sorted_region_volume(k)
+    H, V = _accessible_polytope(lam, k)
     if k == 1:  # the single point (1,) is the whole sorted region
-        return MeasureReport("accessible", sup, 0, sup, 1.0, 1)
-    vol_proj, dim = volume_triangulation(_restricted_accessible_vertices(lam, k))
+        return MeasureReport("accessible", sup, 0, sup, 1.0, 1), V
+    vol_proj, dim = _face_volume(H, V)
     vol = vol_proj * math.sqrt(k)
     value = vol / sup if dim == k - 1 else 0.0
-    return MeasureReport("accessible", vol, dim, sup, value, k)
+    return MeasureReport("accessible", vol, dim, sup, value, k), V
 
 
 def accessible_volume(lam: SchmidtVector) -> tuple[float, int]:
     """Intrinsic volume of the accessible set and the dimension it lives in."""
-    rep = _accessible_report(lam, lam.d)
+    rep = _accessible_report(lam, lam.d)[0]
     return rep.volume, rep.dimension
 
 
 def accessible_entanglement(lam: SchmidtVector) -> MeasureReport:
     """Accessible entanglement: share of the sorted region reachable from lam."""
-    return _accessible_report(lam, lam.d)
+    return _accessible_report(lam, lam.d)[0]
 
 
 def accessible_entanglement_k(lam: SchmidtVector, k: int) -> MeasureReport:
     """Accessible entanglement toward targets of Schmidt rank at most k <= d."""
     if not 2 <= k <= lam.d:
         raise IndexOutOfRange(f"need 2 <= k <= d={lam.d}, got {k}")
-    return _accessible_report(lam, k)
+    return _accessible_report(lam, k)[0]
 
 
 def guaranteed_vertices(lam: SchmidtVector) -> list[SchmidtVector]:

@@ -144,9 +144,11 @@ def _cmd_bipartite_source(args) -> int:
 
 def _cmd_bipartite_accessible(args) -> int:
     lam = _parse_schmidt(args.schmidt)
-    rep = (bipartite.accessible_entanglement(lam) if args.k is None
-           else bipartite.accessible_entanglement_k(lam, args.k))
-    n_vertices = bipartite.accessible_vertices(lam).n if args.k is None else None
+    if args.k is None:
+        rep, V = bipartite._accessible_report(lam, lam.d)
+        n_vertices = V.n
+    else:
+        rep, n_vertices = bipartite.accessible_entanglement_k(lam, args.k), None
     payload = _report_payload(rep, "a")
     payload["schmidt"] = list(lam.components)
     if n_vertices is not None:
@@ -189,12 +191,11 @@ def _cmd_bipartite_sweep(args) -> int:
         t = step / (args.steps - 1) if args.steps > 1 else 0.0
         lam = canonicalize((1 - t) * a0 + t * a1)
         s_rep = bipartite.source_entanglement(lam)
-        a_rep = bipartite.accessible_entanglement(lam)
-        n_v = bipartite.accessible_vertices(lam).n
+        a_rep, V = bipartite._accessible_report(lam, lam.d)
         writer.writerow([step] + [_fmt(x) for x in lam.components]
                         + [_fmt(s_rep.volume), _fmt(a_rep.volume),
                            _fmt(s_rep.entanglement), _fmt(a_rep.entanglement),
-                           n_v, a_rep.dimension])
+                           V.n, a_rep.dimension])
     return EXIT_OK
 
 

@@ -1,9 +1,14 @@
 """Convex polytope engine: H/V representations, adjacency, two volume routes.
 
-The polytopes handled here are small (at most a few dozen inequalities, a few
-hundred vertices), so vertex enumeration runs the textbook route: solve every
-k-subset of tight constraints and keep feasible solutions.  Volumes come from
-two independent algorithms that are cross-checked in the test suite:
+The enumeration and volume routes serve ``entvol polytope`` (raw H- or
+V-input) and the test suite, where they are the independent oracles of the
+bipartite accessible engine; the measures of the package use only the data
+types and ``EPS_GEOM`` from this module.  The polytopes handled here
+are small (at most a few dozen inequalities, a few hundred vertices), so
+vertex enumeration runs the textbook route: an LP precheck for emptiness and
+boundedness, then every k-subset of tight constraints is solved and the
+feasible solutions kept.  Volumes come from two independent algorithms that
+are cross-checked in the test suite:
 
 * ``volume_triangulation`` returns the volume qhull computes for the convex
   hull of the vertices, from the same facets it builds for the hull.
@@ -19,6 +24,8 @@ two independent algorithms that are cross-checked in the test suite:
 
 All geometry is double precision; volumes of lower-dimensional polytopes are
 measured inside their own affine hull and reported with that dimension.
+scipy (``linprog`` for the precheck, qhull for the hull volume) is imported
+inside the two functions that use it, so ``import entvol`` does not load it.
 """
 
 from __future__ import annotations
@@ -28,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     InconsistentInput,
@@ -115,6 +120,8 @@ class VertexSet:
 
 def _check_bounded_feasible(H: HalfspaceSystem) -> None:
     """LP precheck: raise Infeasible / Unbounded before enumerating."""
+    from scipy.optimize import linprog  # scipy loads only for raw H-input
+
     A_ub = -H.A
     b_ub = H.b
     bounds = [(None, None)] * H.k
@@ -222,6 +229,8 @@ def volume_triangulation(V: VertexSet | np.ndarray) -> tuple[float, int]:
     is degenerate: volume 0.0 is returned with dimension 0 (flagged by the
     dimension, not an exception, so measure-zero sets stay representable).
     """
+    from scipy.spatial import ConvexHull, QhullError  # scipy loads only when called
+
     pts = V.vertices if isinstance(V, VertexSet) else np.atleast_2d(np.asarray(V, float))
     dim = affine_dimension(pts)
     if dim == 0:

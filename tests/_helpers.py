@@ -1,6 +1,7 @@
 """Shared test helpers: the d!-term source oracles (the signed sum and the
-permutation hull of lam) and the random-state and random-pair generators of
-the four-qubit tests."""
+permutation hull of lam), a generic pulling-recursion volume for enumerated
+polytopes, and the random-state and random-pair generators of the four-qubit
+tests."""
 
 from __future__ import annotations
 
@@ -84,6 +85,50 @@ def source_polytope_adjacency(d: int) -> list[list[int]]:
             nbrs.append(index[q])
         adj.append(nbrs)
     return adj
+
+
+# -- the pulling recursion on an enumerated polytope, an independent volume ----
+
+def _directions(pts: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the affine hull of pts, from an SVD."""
+    if len(pts) < 2:
+        return np.zeros((0, pts.shape[1]))
+    _, s, vt = np.linalg.svd(pts[1:] - pts[0], full_matrices=False)
+    return vt[s > 1e-10]
+
+
+def pulling_volume(V) -> float:
+    """Volume of conv(V) inside its affine hull, 0.0 for a single point.
+
+    ``V`` is a VertexSet with tight sets, as ``enumerate_vertices`` returns
+    it.  A face is the tuple of vertices that share a set of tight rows; its
+    volume is the sum, over its facets G that miss its first vertex a, of
+    dist(a, aff G) vol(G) / dim, with every distance and dimension taken from
+    vertex coordinates.
+    """
+    pts = V.vertices
+    rows = sorted(set().union(*V.tight_sets))
+    memo: dict[tuple, float] = {}
+
+    def vol(face: tuple, dim: int) -> float:
+        if dim == 0:
+            return 1.0
+        if face not in memo:
+            apex, total = face[0], 0.0
+            facets = {tuple(i for i in face if r in V.tight_sets[i]) for r in rows}
+            for G in facets:
+                if not G or apex in G:
+                    continue
+                basis = _directions(pts[list(G)])
+                if len(basis) != dim - 1:
+                    continue
+                off = pts[apex] - pts[G[0]]
+                total += np.linalg.norm(off - basis.T @ (basis @ off)) * vol(G, dim - 1)
+            memo[face] = total / dim
+        return memo[face]
+
+    dim = len(_directions(pts))
+    return vol(tuple(range(V.n)), dim) if dim else 0.0
 
 
 def fixed_seed_params() -> SeedParams:

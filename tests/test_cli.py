@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from entvol.bipartite import MAX_ACCESSIBLE_DIM
 from entvol.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -190,7 +191,7 @@ def test_non_finite_input_is_domain_error(capsys, argv, error):
 
 
 @pytest.mark.parametrize("argv,expected", [
-    (["bipartite", "accessible", "--schmidt", ",".join(["1"] * 10)], 2),
+    (["bipartite", "accessible", "--schmidt", ",".join(["1"] * (MAX_ACCESSIBLE_DIM + 1))], 2),
     (["bipartite", "source", "--schmidt", ",".join(["1"] * 16)], 0),
     (["bipartite", "source", "--schmidt", ",".join(["1"] * 17)], 2),
 ])
@@ -265,3 +266,22 @@ def test_input_failures_exit_cleanly(tmp_path, argv, expected):
     if expected == 0:
         payload = json.loads(proc.stdout)
         assert (payload["E_a"], payload["dimension"], payload["vertices"]) == (1.0, 0, 1)
+
+
+def test_scipy_stays_unloaded():
+    # scipy serves only raw polytope input; the package and the accessible
+    # measures run without it
+    code = ("import sys\n"
+            "import entvol\n"
+            "from entvol.cli import main\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "main(['bipartite', 'accessible', '--schmidt', '0.4,0.3,0.2,0.1', '--json'])\n"
+            "print(loaded())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, payload, after_call = proc.stdout.strip().splitlines()
+    assert after_import == after_call == "[]"
+    assert json.loads(payload)["vertices"] == 8
