@@ -31,6 +31,7 @@ from .polytope import (
 from .bipartite import (
     MeasureReport,
     accessible_entanglement,
+    accessible_entanglement_and_vertices,
     accessible_entanglement_k,
     accessible_hrep,
     accessible_vertices,
@@ -73,7 +74,8 @@ __all__ = [
     "HalfspaceSystem", "VertexSet",
     "brion_volume", "enumerate_vertices", "is_simple",
     "vertex_adjacency", "volume_triangulation",
-    "MeasureReport", "accessible_entanglement", "accessible_entanglement_k",
+    "MeasureReport", "accessible_entanglement", "accessible_entanglement_and_vertices",
+    "accessible_entanglement_k",
     "accessible_hrep", "accessible_vertices", "accessible_volume",
     "guaranteed_vertices", "max_entangled_accessible", "source_entanglement",
     "source_entanglement_k", "source_volume",

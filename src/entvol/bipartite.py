@@ -47,7 +47,19 @@ construction walks these patterns, keeps every value affine in theta and the
 interval of theta that keeps every floor, kink and mu_k >= 0 off the pins
 strict, and drops a pattern as soon as that interval empties; strictness
 makes every vertex come out exactly once.  No LP and no linear solve is
-involved.
+involved.  A vertex's tight rows are its contacts, the points where it
+does not bend and, if mu_k = 0, the last row.
+
+The walk decides each margin (a value over its floor, a bend, the width of
+an interval of theta) as zero or of one sign, and must decide it the same
+way wherever it meets it: a vertex set decided one way here and another way
+there is no polytope, and the recursion below can return any number on it,
+E_a far above 1 included.  So the walk runs in floats, where a margin
+within 1e-12 of 0 is 0 (exact ties round to far less) and one beyond
+EPS_GEOM has its sign; if any margin falls in between, the walk starts
+again in exact rational arithmetic on the partial sums of lam's components
+as given, about ten times slower.  Features of lam finer than 1e-12 thus
+count as ties, which moves E_a by a few 1e-12 at most.
 
 The volume follows Lasserre (1983): for a face F of dimension m and an apex
 v of F,
@@ -100,8 +112,15 @@ MAX_EXACT_DIM = 16
 #: Largest target rank of the accessible measures.  The faces that the volume
 #: recursion visits grow about threefold per rank (about 9k at rank 10, 27k
 #: at 11 and 83k at 12 on Dirichlet vectors), and so does the time: a rank-12
-#: call took 1.0-1.9 s (median 1.2-1.6 s) on a shared 2-vCPU machine.
+#: call took 1.0-1.9 s on Dirichlet, linear, geometric, harmonic and tied
+#: vectors and under 0.2 s on step and zero-padded ones (shared 2-vCPU
+#: machine); one whose vertex walk runs in exact arithmetic (lam within about
+#: 1e-7 of the flat state) took 2.7-3.2 s.
 MAX_ACCESSIBLE_DIM = 12
+
+#: The accessible vertex walk, in floats, counts a margin within _TIE of 0 as
+#: 0 and one beyond EPS_GEOM as nonzero (see the module docstring).
+_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -237,42 +256,70 @@ def _restricted_accessible_hrep(lam: SchmidtVector, k: int) -> HalfspaceSystem:
     return HalfspaceSystem(np.array(rows), np.array(offs))
 
 
-def _chamber_vertices(cum: list[float], k: int) -> list[list[float]]:
-    """Partial sums M_0..M_k of every vertex of the rank-<=k accessible set.
+class _Undecided(Exception):
+    """A margin of the float vertex walk lies too near 0 to be decided there."""
 
-    ``cum[t]`` is Lam_t for t < k.  The walk is the one in the module
-    docstring: ``vals`` holds (a, b) with M_t = a + b * theta, and ``iv`` the
-    interval of theta that keeps every point off the pins strict so far.
+
+def _float_sign(x: float) -> int:
+    """Sign of a walk margin in floats: 0 below _TIE, undecided up to EPS_GEOM."""
+    if x > EPS_GEOM:
+        return 1
+    if x < -EPS_GEOM:
+        return -1
+    if abs(x) <= _TIE:
+        return 0
+    raise _Undecided
+
+
+def _exact_sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _chamber_vertices(cum: list, k: int, sign) -> list[tuple[list, frozenset[int]]]:
+    """Partial sums M_0..M_k and tight rows of every vertex of the rank-<=k
+    accessible set.
+
+    ``cum[t]`` is Lam_t for t < k and ``cum[k]`` the value of M_k; the
+    numbers are floats or Fractions, and ``sign`` decides every comparison.
+    The walk is the one in the module docstring: ``vals`` holds (a, b) with
+    M_t = a + b * theta, and ``iv`` the open interval of theta that keeps
+    every point off the pins strict so far.
     """
-    out: list[list[float]] = []
+    out: list[list] = []
+    top = cum[k]
+    zero, one = top - top, top / top
     whole = (-math.inf, math.inf)
 
-    def pins(t: int) -> tuple[float, ...]:
+    def pins(t: int) -> tuple:
         if t == k:
-            return (1.0,)
-        if t == k - 1 and cum[t] != 1.0:  # a contact, or mu_k = 0
-            return (cum[t], 1.0)
+            return (top,)
+        if t == k - 1 and sign(top - cum[t]):  # a contact, or mu_k = 0
+            return (cum[t], top)
         return (cum[t],)
 
-    def cut(iv, a: float, b: float):
-        """Keep the theta with a + b * theta >= EPS_GEOM (None: none left)."""
+    def cut(iv, a, b):
+        """Keep the theta with a + b * theta > 0 (None: none left)."""
         if iv is None:
             return None
         lo, hi = iv
-        if b == 0.0:
-            return iv if a >= EPS_GEOM else None
-        r = (EPS_GEOM - a) / b
-        if b > 0.0:
-            lo = max(lo, r)
+        if b == 0:
+            return iv if sign(a) > 0 else None
+        r = -a / b
+        if b > 0:
+            if r <= lo:
+                return iv
+            lo = r
         else:
-            hi = min(hi, r)
-        return (lo, hi) if lo <= hi else None
+            if r >= hi:
+                return iv
+            hi = r
+        return (lo, hi) if sign(hi - lo) > 0 else None
 
-    def off_pin(iv, t: int, a: float, b: float):
-        """Point t, with M_t = a + b theta, strictly above its floor (and below 1)."""
+    def off_pin(iv, t: int, a, b):
+        """Point t, with M_t = a + b theta, strictly above its floor (and below M_k)."""
         iv = cut(iv, a - cum[t], b)
         if t == k - 1:
-            iv = cut(iv, 1.0 - a, -b)
+            iv = cut(iv, top - a, -b)
         return iv
 
     def line(vals, s, lo: int, hi: int):
@@ -289,13 +336,13 @@ def _chamber_vertices(cum: list[float], k: int) -> list[list[float]]:
             ma, mb = az + s[0] * (t - z), s[1] * (t - z)
             for pin in pins(t):  # t is the next pin, with no knot before it
                 if not free:
-                    if abs(ma - pin) <= EPS_GEOM:
-                        arrive(vals + line(vals, s, z + 1, t) + [(pin, 0.0)], s, whole, False)
-                elif mb != 0.0:
+                    if not sign(ma - pin):
+                        arrive(vals + line(vals, s, z + 1, t) + [(pin, zero)], s, whole, False)
+                elif mb != 0:
                     th = (pin - ma) / mb
-                    if iv[0] <= th <= iv[1]:
-                        done = [(a + b * th, 0.0) for a, b in vals + line(vals, s, z + 1, t)]
-                        arrive(done + [(pin, 0.0)], (s[0] + s[1] * th, 0.0), whole, False)
+                    if sign(th - iv[0]) > 0 and sign(iv[1] - th) > 0:
+                        done = [(a + b * th, zero) for a, b in vals + line(vals, s, z + 1, t)]
+                        arrive(done + [(pin, zero)], (s[0] + s[1] * th, zero), whole, False)
             if t == k:
                 return
             knot(vals, s, t, iv, free)  # t is a knot
@@ -321,24 +368,24 @@ def _chamber_vertices(cum: list[float], k: int) -> list[list[float]]:
                     pts.append((mq[0] + s2[0] * (u - q), mq[1] + s2[1] * (u - q)))
                     jv = off_pin(jv, u, *pts[-1])
                 if jv is not None:
-                    arrive(head + pts + [(pin, 0.0)], s2, jv, free)
+                    arrive(head + pts + [(pin, zero)], s2, jv, free)
                 if free or z2 == k:
                     continue
                 # two knots: a fresh theta is the slope of the piece through the
                 # pin, and the middle piece joins (q, M_q) to (q2, pin - theta (z2 - q2))
                 for q2 in range(q + 1, z2):
-                    mid = ((pin - mq[0]) / (q2 - q), -(z2 - q2) / (q2 - q))
+                    mid = ((pin - mq[0]) / (q2 - q), -(z2 - q2) * one / (q2 - q))
                     jv = cut(whole, s[0] - mid[0], -mid[1])  # bend at q
-                    jv = cut(jv, mid[0], mid[1] - 1.0)  # bend at q2
+                    jv = cut(jv, mid[0], mid[1] - one)  # bend at q2
                     pts = []
                     for u in range(q + 1, z2):
                         if u <= q2:
                             pts.append((mq[0] + mid[0] * (u - q), mid[1] * (u - q)))
                         else:
-                            pts.append((pin, -float(z2 - u)))
+                            pts.append((pin, (u - z2) * one))
                         jv = off_pin(jv, u, *pts[-1])
                     if jv is not None:
-                        walk(head + pts + [(pin, 0.0)], (0.0, 1.0), jv, True)
+                        walk(head + pts + [(pin, zero)], (zero, one), jv, True)
 
     def arrive(vals, s, iv, free: bool) -> None:
         """At a pin reached along slope s: end, go straight on, or bend there."""
@@ -348,10 +395,21 @@ def _chamber_vertices(cum: list[float], k: int) -> list[list[float]]:
             return
         walk(vals, s, iv, free)
         if not free:
-            walk(vals, (0.0, 1.0), (-math.inf, s[0] - EPS_GEOM), True)
+            walk(vals, (zero, one), (-math.inf, s[0]), True)
 
-    walk([(0.0, 0.0)], (0.0, 1.0), whole, True)
-    return out
+    def tight(M) -> frozenset[int]:
+        """Rows tight at M, in accessible_hrep order: the floors at t = 1..k-1,
+        no bend at t = 1..k-1 (the ordering rows), then mu_k >= 0.  A pin
+        holds its floor's own number, and every other point was kept
+        strictly above its floor."""
+        rows = [t - 1 for t in range(1, k) if M[t] == cum[t]]
+        rows += [k - 2 + t for t in range(1, k) if not sign(2 * M[t] - M[t - 1] - M[t + 1])]
+        if not sign(top - M[k - 1]):
+            rows.append(2 * k - 2)
+        return frozenset(rows)
+
+    walk([(zero, zero)], (zero, one), whole, True)
+    return [(M, tight(M)) for M in out]
 
 
 def _accessible_polytope(lam: SchmidtVector, k: int) -> tuple[HalfspaceSystem, VertexSet]:
@@ -361,17 +419,21 @@ def _accessible_polytope(lam: SchmidtVector, k: int) -> tuple[HalfspaceSystem, V
     if k == 1:
         return HalfspaceSystem(np.zeros((0, 0)), np.zeros(0)), VertexSet(np.zeros((1, 0)))
     H = _restricted_accessible_hrep(lam, k)
-    cum = list(itertools.accumulate(lam.components[: k - 1], initial=0.0))
-    M = np.array(_chamber_vertices(cum, k))
-    V = np.diff(M[:, :k], axis=1)  # mu_1 .. mu_(k-1)
-    tight = np.abs(V @ H.A.T + H.b) <= EPS_GEOM
-    found: dict[frozenset[int], np.ndarray] = {}
-    for v, row in zip(V, tight):  # a vertex is fixed by its tight set
-        found.setdefault(frozenset(np.flatnonzero(row).tolist()), v)
-    # listed as enumerate_vertices lists a simple polytope's vertices:
-    # lexicographically by their tight rows
-    order = sorted(found, key=sorted)
-    return H, VertexSet(np.array([found[t] for t in order]), tuple(order))
+    head = lam.components[: k - 1]
+    try:
+        cum = list(itertools.accumulate(head, initial=0.0)) + [1.0]
+        found = _chamber_vertices(cum, k, _float_sign)
+    except _Undecided:
+        from fractions import Fraction  # only this walk needs it; kept off import entvol
+
+        exact = [Fraction(x) for x in lam.components]
+        cum = list(itertools.accumulate(exact[: k - 1], initial=Fraction(0))) + [sum(exact)]
+        found = _chamber_vertices(cum, k, _exact_sign)
+    # sorted by tight rows, the order enumerate_vertices gives a simple
+    # polytope, so that the vertex array does not depend on the walk's order
+    found.sort(key=lambda vt: sorted(vt[1]))
+    V = [[float(M[t + 1] - M[t]) for t in range(k - 1)] for M, _ in found]
+    return H, VertexSet(np.array(V), tuple(t for _, t in found))
 
 
 def _face_volume(H: HalfspaceSystem, V: VertexSet) -> tuple[float, int]:
@@ -399,9 +461,6 @@ def _face_volume(H: HalfspaceSystem, V: VertexSet) -> tuple[float, int]:
         n -= basis.shape[1]
     if n == 0:
         return 0.0, 0
-    # in a simple polytope a row cutting a face meets it in a facet whose
-    # tight rows are the face's and that row, so the search for more is skipped
-    simple = not implicit and all(mk.bit_count() == n for mk in masks)
     memo: dict[int, tuple[float, int, int]] = {}
 
     def vol(F: int, rows_F: int, W: np.ndarray, m: int) -> float:
@@ -424,7 +483,8 @@ def _face_volume(H: HalfspaceSystem, V: VertexSet) -> tuple[float, int]:
             if hit is None:
                 rows_G = rows_F | bit
                 extra = []  # rows tight on all of G beyond r (degenerate polytopes)
-                more = 0 if simple else masks[G.bit_length() - 1] & ~rows_G
+                # a row tight on all of G is tight at its first and last vertex
+                more = masks[G.bit_length() - 1] & masks[(G & -G).bit_length() - 1] & ~rows_G
                 while more:
                     low = more & -more
                     more ^= low
@@ -450,34 +510,43 @@ def accessible_vertices(lam: SchmidtVector) -> VertexSet:
     return _accessible_polytope(lam, lam.d)[1]
 
 
-def _accessible_report(lam: SchmidtVector, k: int) -> tuple[MeasureReport, VertexSet]:
-    """Build the vertices, run the face recursion, apply the sqrt(k) Jacobian."""
+def _accessible_measure(H: HalfspaceSystem, V: VertexSet, k: int) -> MeasureReport:
+    """Run the face recursion on the vertices, apply the sqrt(k) Jacobian."""
     sup = sorted_region_volume(k)
-    H, V = _accessible_polytope(lam, k)
     if k == 1:  # the single point (1,) is the whole sorted region
-        return MeasureReport("accessible", sup, 0, sup, 1.0, 1), V
+        return MeasureReport("accessible", sup, 0, sup, 1.0, 1)
     vol_proj, dim = _face_volume(H, V)
     vol = vol_proj * math.sqrt(k)
     value = vol / sup if dim == k - 1 else 0.0
-    return MeasureReport("accessible", vol, dim, sup, value, k), V
+    return MeasureReport("accessible", vol, dim, sup, value, k)
+
+
+def _accessible_report(lam: SchmidtVector, k: int) -> MeasureReport:
+    return _accessible_measure(*_accessible_polytope(lam, k), k)
 
 
 def accessible_volume(lam: SchmidtVector) -> tuple[float, int]:
     """Intrinsic volume of the accessible set and the dimension it lives in."""
-    rep = _accessible_report(lam, lam.d)[0]
+    rep = _accessible_report(lam, lam.d)
     return rep.volume, rep.dimension
 
 
 def accessible_entanglement(lam: SchmidtVector) -> MeasureReport:
     """Accessible entanglement: share of the sorted region reachable from lam."""
-    return _accessible_report(lam, lam.d)[0]
+    return _accessible_report(lam, lam.d)
+
+
+def accessible_entanglement_and_vertices(lam: SchmidtVector) -> tuple[MeasureReport, VertexSet]:
+    """Accessible entanglement and the vertex set it was computed from, built once."""
+    H, V = _accessible_polytope(lam, lam.d)
+    return _accessible_measure(H, V, lam.d), V
 
 
 def accessible_entanglement_k(lam: SchmidtVector, k: int) -> MeasureReport:
     """Accessible entanglement toward targets of Schmidt rank at most k <= d."""
     if not 2 <= k <= lam.d:
         raise IndexOutOfRange(f"need 2 <= k <= d={lam.d}, got {k}")
-    return _accessible_report(lam, k)[0]
+    return _accessible_report(lam, k)
 
 
 def guaranteed_vertices(lam: SchmidtVector) -> list[SchmidtVector]:

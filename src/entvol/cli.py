@@ -145,7 +145,7 @@ def _cmd_bipartite_source(args) -> int:
 def _cmd_bipartite_accessible(args) -> int:
     lam = _parse_schmidt(args.schmidt)
     if args.k is None:
-        rep, V = bipartite._accessible_report(lam, lam.d)
+        rep, V = bipartite.accessible_entanglement_and_vertices(lam)
         n_vertices = V.n
     else:
         rep, n_vertices = bipartite.accessible_entanglement_k(lam, args.k), None
@@ -191,7 +191,7 @@ def _cmd_bipartite_sweep(args) -> int:
         t = step / (args.steps - 1) if args.steps > 1 else 0.0
         lam = canonicalize((1 - t) * a0 + t * a1)
         s_rep = bipartite.source_entanglement(lam)
-        a_rep, V = bipartite._accessible_report(lam, lam.d)
+        a_rep, V = bipartite.accessible_entanglement_and_vertices(lam)
         writer.writerow([step] + [_fmt(x) for x in lam.components]
                         + [_fmt(s_rep.volume), _fmt(a_rep.volume),
                            _fmt(s_rep.entanglement), _fmt(a_rep.entanglement),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from entvol import errors
+from entvol import bipartite, errors
 from entvol.bipartite import (
     MAX_ACCESSIBLE_DIM,
     MAX_EXACT_DIM,
@@ -237,6 +237,47 @@ def test_accessible_volume_rank9_matches_pulling_oracle():
     ref = pulling_volume(enumerate_vertices(accessible_hrep(lam))) * 3.0  # sqrt(9)
     assert dim == 8
     assert vol == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+#: A rank-4 vector within about 1e-8 of the flat state, bit for bit; with
+#: its walk margins decided to 1e-9 the vertices merged and E_a came out as
+#: 1.0000000011.
+NEAR_FLAT_D4 = (0.2500000025732097, 0.25000000158110847, 0.24999999968585318,
+                0.2499999961598287)
+
+
+def test_accessible_near_flat_stays_in_range():
+    # near the flat state the accessible set is the sorted region less a
+    # corner of size ~eps, so E_a lies within a few eps^(d-1) below 1; walk
+    # margins between 1e-12 and 1e-9 are decided in exact arithmetic
+    assert accessible_entanglement(SchmidtVector(NEAR_FLAT_D4)).entanglement == pytest.approx(
+        1.0, abs=1e-14)
+    for d in range(3, 10):
+        for eps in (1e-6, 1e-7, 3e-8, 1e-8, 1e-10, 1e-12):
+            v = 1.0 + eps * np.random.default_rng(d).random(d)
+            e_a = accessible_entanglement(canonicalize(v / v.sum())).entanglement
+            assert 1.0 - 1e-11 <= e_a <= 1.0 + 1e-14, (d, eps, e_a)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_accessible_exact_walk_matches_float_walk(d, monkeypatch):
+    # the same vertices, tight sets and E_a when every walk margin is decided
+    # in exact rational arithmetic
+    rng = np.random.default_rng(80 + d)
+    cases = [(lam, k) for lam in _source_test_vectors(d, rng) + [maximally_entangled(d), separable(d)]
+             for k in range(2, d + 1)]
+    floats = [(_accessible_polytope(lam, k)[1], accessible_entanglement_k(lam, k)) for lam, k in cases]
+
+    def undecided(x):
+        raise bipartite._Undecided
+
+    monkeypatch.setattr(bipartite, "_float_sign", undecided)
+    for (lam, k), (V, rep) in zip(cases, floats):
+        W = _accessible_polytope(lam, k)[1]
+        assert W.tight_sets == V.tight_sets
+        assert np.allclose(W.vertices, V.vertices, rtol=0.0, atol=1e-15)
+        exact = accessible_entanglement_k(lam, k).entanglement
+        assert exact == pytest.approx(rep.entanglement, rel=1e-13, abs=1e-15), (lam, k)
 
 
 def test_accessible_volume_two_qubits():
