@@ -134,16 +134,6 @@ class MeasureReport:
     entanglement: float    # value in [0, 1]
     k: int                 # family index (k = d for the plain measures)
 
-    def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "volume": self.volume,
-            "dimension": self.dimension,
-            "v_sup": self.v_sup,
-            "entanglement": self.entanglement,
-            "k": self.k,
-        }
-
 
 def _chamber_volume(lam: tuple[float, ...]) -> float:
     """Intrinsic (d-1)-volume of the sorted source chamber, by the face recursion.

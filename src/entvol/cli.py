@@ -4,7 +4,7 @@ Exit status: 0 on success, 2 on a domain error (a machine-readable error code
 is printed as JSON), 64 on a usage error.  Floating point numbers are printed
 with 12 significant digits; a few closed-form constants also carry a symbolic
 rendering.  The environment variable ``ENTVOL_MC_SEED`` supplies the default
-Monte-Carlo seed.
+Monte-Carlo seed of the commands that sample.
 """
 
 from __future__ import annotations
@@ -111,9 +111,18 @@ def _load_form(args) -> fourqubit.FourQubitForm:
     raise UsageError("provide --state FILE or --gammas")
 
 
-def _mc_config(args) -> oracle.McConfig:
-    seed = args.mc_seed if args.mc_seed is not None else int(os.environ.get("ENTVOL_MC_SEED", "0"))
-    return oracle.McConfig(samples=args.mc_samples, seed=seed)
+def _mc_config(samples: int, seed: str | None) -> oracle.McConfig:
+    """The sampling plan; ``seed`` is the option's text, and without one
+    ``ENTVOL_MC_SEED`` (default 0) is read.  A seed that is no integer, or
+    that Philox's two 64-bit key words cannot hold, is a usage error."""
+    text = seed if seed is not None else os.environ.get("ENTVOL_MC_SEED", "0")
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise UsageError(f"bad Monte-Carlo seed {text!r}: {exc}") from exc
+    if not -2 ** 63 <= value < 2 ** 64:
+        raise UsageError(f"Monte-Carlo seed {text!r} is outside [-2^63, 2^64)")
+    return oracle.McConfig(samples=samples, seed=value)
 
 
 # -- bipartite ----------------------------------------------------------------
@@ -201,15 +210,6 @@ def _cmd_bipartite_sweep(args) -> int:
 
 # -- fourqubit ----------------------------------------------------------------
 
-_SYMBOLIC_SUP = {
-    (fourqubit.TAG_SEED, "a"): "29*pi/12",
-    (fourqubit.TAG_MES, "a"): "pi",
-    (fourqubit.TAG_AXIS_ONLY, "a"): "11*pi/48",
-    (fourqubit.TAG_GENERAL_ONE, "a"): "pi/12",
-    (fourqubit.TAG_GENERAL_ONE, "s"): "1/(36*sqrt(3))",
-}
-
-
 def _cmd_fourqubit_classify(args) -> int:
     cls = fourqubit.classify(_load_form(args))
     payload = {
@@ -230,9 +230,9 @@ def _cmd_fourqubit_classify(args) -> int:
 
 
 def _cmd_fourqubit_measures(args) -> int:
-    form = _load_form(args)
-    cls = fourqubit.classify(form)
-    s_rep, a_rep = fourqubit.entanglement_4q(cls, _mc_config(args))
+    cfg = _mc_config(args.mc_samples, args.mc_seed)
+    cls = fourqubit.classify(_load_form(args))
+    s_rep, a_rep = fourqubit.entanglement_4q(cls, cfg)
     payload = {
         "class": cls.tag,
         "E_s": s_rep.entanglement, "V_s": s_rep.volume,
@@ -240,12 +240,8 @@ def _cmd_fourqubit_measures(args) -> int:
         "E_a": a_rep.entanglement, "V_a": a_rep.volume,
         "V_a_dim": a_rep.dimension, "V_a_sup": a_rep.v_sup,
     }
-    if cls.tag == fourqubit.TAG_SEED:
-        payload["V_a_symbolic"] = "29*pi/12"
-    for kind in ("s", "a"):
-        sym = _SYMBOLIC_SUP.get((cls.tag, kind))
-        if sym:
-            payload[f"V_{kind}_sup_symbolic"] = sym
+    payload.update({f"{key}_symbolic": x.text for key, x in payload.items()
+                    if isinstance(x, fourqubit.ClosedForm)})
     if args.json:
         _emit_json(payload)
     else:
@@ -305,10 +301,10 @@ def _cmd_fourqubit_witness(args) -> int:
 
 
 def _cmd_fourqubit_sweep(args) -> int:
+    cfg = _mc_config(args.mc_samples, args.mc_seed)
     seed = _default_seed_params()
     g0, g1 = (fourqubit.FourQubitForm(seed, _parse_gammas(text)).gammas
               for text in (args.from_gammas, args.to_gammas))
-    cfg = _mc_config(args)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["step", "class"]
                     + [f"gamma_{p+1}{fourqubit.AXIS_NAMES[k]}" for p in range(4) for k in range(3)]
@@ -375,8 +371,8 @@ def _cmd_polytope_volume(args) -> int:
 # -- oracle -------------------------------------------------------------------
 
 def _cmd_oracle_source(args) -> int:
+    cfg = _mc_config(args.samples, args.seed)
     lam = _parse_schmidt(args.schmidt)
-    cfg = oracle.McConfig(samples=args.samples, seed=args.seed)
     res = oracle.mc_source_volume(lam, cfg)
     payload = res.to_json()
     payload["closed_form"] = bipartite.source_volume(lam)
@@ -385,8 +381,8 @@ def _cmd_oracle_source(args) -> int:
 
 
 def _cmd_oracle_accessible(args) -> int:
+    cfg = _mc_config(args.samples, args.seed)
     lam = _parse_schmidt(args.schmidt)
-    cfg = oracle.McConfig(samples=args.samples, seed=args.seed)
     res = oracle.mc_accessible_volume(lam, cfg)
     payload = res.to_json()
     payload["polytope_value"] = bipartite.accessible_volume(lam)[0]
@@ -395,7 +391,7 @@ def _cmd_oracle_accessible(args) -> int:
 
 
 def _cmd_oracle_region(args) -> int:
-    cfg = oracle.McConfig(samples=args.samples, seed=args.seed)
+    cfg = _mc_config(args.samples, args.seed)
     if args.region == "ball":
         lo, hi = np.full(3, -0.5), np.full(3, 0.5)
         predicate = lambda pts: (pts ** 2).sum(axis=1) < 0.25
@@ -459,8 +455,6 @@ def build_parser() -> _Parser:
     def _add_state_opts(sp):
         sp.add_argument("--state", help="JSON payload file ('-' for stdin)")
         sp.add_argument("--gammas", help="four semicolon-separated gamma triples")
-        sp.add_argument("--mc-samples", type=int, default=1_000_000)
-        sp.add_argument("--mc-seed", type=int, default=None)
         sp.add_argument("--json", action="store_true")
 
     f_cls = fsub.add_parser("classify")
@@ -469,6 +463,8 @@ def build_parser() -> _Parser:
 
     f_mea = fsub.add_parser("measures")
     _add_state_opts(f_mea)
+    f_mea.add_argument("--mc-samples", type=int, default=1_000_000)
+    f_mea.add_argument("--mc-seed")
     f_mea.set_defaults(func=_cmd_fourqubit_measures)
 
     def _add_pair_opts(sp):
@@ -491,7 +487,7 @@ def build_parser() -> _Parser:
     f_swp.add_argument("--to-gammas", required=True)
     f_swp.add_argument("--steps", type=_positive_int, required=True)
     f_swp.add_argument("--mc-samples", type=int, default=200_000)
-    f_swp.add_argument("--mc-seed", type=int, default=None)
+    f_swp.add_argument("--mc-seed")
     f_swp.set_defaults(func=_cmd_fourqubit_sweep)
 
     pl = sub.add_parser("polytope", help="raw polytope operations")
@@ -512,8 +508,7 @@ def build_parser() -> _Parser:
         if with_schmidt:
             sp.add_argument("--schmidt", required=True)
         sp.add_argument("--samples", type=int, default=1_000_000)
-        sp.add_argument("--seed", type=int,
-                        default=int(os.environ.get("ENTVOL_MC_SEED", "0")))
+        sp.add_argument("--seed")
 
     o_src = osub.add_parser("source")
     _add_oracle_opts(o_src)

@@ -376,36 +376,37 @@ def classify(form: FourQubitForm) -> Classified:
 # the per-party twirl predicate
 # ---------------------------------------------------------------------------
 
-def eta_solve(gam: np.ndarray, zet: np.ndarray, tol: float = 1e-10) -> np.ndarray | None:
+def eta_solve(gam: np.ndarray, zet: np.ndarray) -> np.ndarray | None:
     """Solve eta (.) zet = gam with eta in the character tetrahedron.
 
     Components with zet == 0 force gam == 0 and leave the corresponding eta
     free; feasibility of a completion reduces to the forced components lying
     in the tetrahedron's projection (a box, or the full tetrahedron when all
-    three are forced).  Returns a feasible eta, or None.
+    three are forced).  Returns a feasible eta, or None.  Every comparison is
+    to CONVERT_TOL, since this decides convertibility.
     """
     eta = np.zeros(3)
     free = []
     for l in range(3):
-        if abs(zet[l]) > tol:
+        if abs(zet[l]) > CONVERT_TOL:
             eta[l] = gam[l] / zet[l]
         else:
-            if abs(gam[l]) > tol:
+            if abs(gam[l]) > CONVERT_TOL:
                 return None
             free.append(l)
     forced = [l for l in range(3) if l not in free]
     if len(free) == 0:
         probs = _eta_to_probs(eta)
-        return eta if np.all(probs >= -tol) else None
+        return eta if np.all(probs >= -CONVERT_TOL) else None
     if len(free) == 1:
         a, b = (eta[l] for l in forced)
         lo = -1.0 + abs(a + b)
         hi = 1.0 - abs(a - b)
-        if lo > hi + tol:
+        if lo > hi + CONVERT_TOL:
             return None
         eta[free[0]] = min(max((lo + hi) / 2.0, -1.0), 1.0)
         return eta
-    if any(abs(eta[l]) > 1.0 + tol for l in forced):
+    if any(abs(eta[l]) > 1.0 + CONVERT_TOL for l in forced):
         return None
     return eta  # free components stay 0, always completable
 
@@ -520,7 +521,7 @@ def _single_party_condition(gi, zf):
     if len(active) != 1:
         return None
     p = active.pop()
-    eta = eta_solve(gi[p], zf[p], CONVERT_TOL)
+    eta = eta_solve(gi[p], zf[p])
     if eta is None:
         return None
     nz_f = int(np.sum(np.abs(zf[p]) > CONVERT_TOL))
@@ -615,10 +616,6 @@ def can_convert(initial: FourQubitForm, final: FourQubitForm) -> Verdict:
 # volumes and measures
 # ---------------------------------------------------------------------------
 
-def _transverse(g: np.ndarray, w: int) -> np.ndarray:
-    return np.delete(g, w)
-
-
 def _caseiii_predicate(gam: np.ndarray):
     def predicate(pts: np.ndarray) -> np.ndarray:
         inside = (pts ** 2).sum(axis=1) < 0.25
@@ -652,16 +649,15 @@ def caseiii_3d_feasible(g1: float, g2: float) -> bool:
     return 2.0 * (g1 ** (2.0 / 3.0) + g2 ** (2.0 / 3.0)) ** 1.5 < 1.0
 
 
-def disc_corner_area(u: float, v: float, radius: float = 0.5) -> float:
-    """Area of {x >= u, y >= v, x^2 + y^2 <= radius^2} for u, v >= 0."""
-    r2 = radius * radius
-    if u * u + v * v >= r2:
+def disc_corner_area(u: float, v: float) -> float:
+    """Area of {x >= u, y >= v, x^2 + y^2 <= 1/4} for u, v >= 0."""
+    if u * u + v * v >= 0.25:
         return 0.0
 
     def F(x: float) -> float:
-        return 0.5 * (x * math.sqrt(max(r2 - x * x, 0.0)) + r2 * math.asin(min(x / radius, 1.0)))
+        return 0.5 * (x * math.sqrt(max(0.25 - x * x, 0.0)) + 0.25 * math.asin(min(2.0 * x, 1.0)))
 
-    x_hi = math.sqrt(r2 - v * v)
+    x_hi = math.sqrt(0.25 - v * v)
     return F(x_hi) - F(u) - v * (x_hi - u)
 
 
@@ -669,30 +665,85 @@ def disc_corner_area(u: float, v: float, radius: float = 0.5) -> float:
 DEFAULT_MC = McConfig(samples=10_000_000, seed=77)
 
 
-def source_volume_4q(cls: Classified) -> tuple[int, float]:
-    """Case formula for the source volume, with its intrinsic dimension."""
-    g = cls.gammas
-    tag = cls.tag
+class ClosedForm(float):
+    """A constant that also carries its closed form, such as ``pi/12``."""
+
+    def __new__(cls, value: float, text: str) -> "ClosedForm":
+        self = super().__new__(cls, value)
+        self.text = text
+        return self
+
+    def __getnewargs__(self):  # so that copies and pickles keep the text
+        return float(self), self.text
+
+
+def _source_case(cls: Classified) -> tuple[int, float, float]:
+    """``(dimension, volume, V_sup)`` of the source set, V_sup being the
+    largest volume of the case; a set of volume 0 is normalized by 1."""
+    g, w, roles, tag = cls.gammas, cls.w, cls.roles, cls.tag
     if tag in (TAG_SEED, TAG_MES, TAG_ISOLATED):
-        return 0, 0.0
+        return 0, 0.0, 1.0
     if tag == TAG_GENERAL_PLUS_AXES:
-        t = _transverse(g[cls.roles["general_party"]], cls.w)
-        return 1, float(np.linalg.norm(t))
+        return 1, float(np.linalg.norm(np.delete(g[roles["general_party"]], w))), 0.5
     if tag == TAG_TWO_AXES:
-        (p1, u), (p2, v) = cls.roles["parties"]
-        return 2, 4.0 * abs(g[p1, u]) * abs(g[p2, v])
+        (p1, u), (p2, v) = roles["parties"]
+        return 2, 4.0 * abs(g[p1, u]) * abs(g[p2, v]), 1.0
     if tag == TAG_AXIS_TRANSVERSE:
-        t = _transverse(g[cls.roles["transverse_party"]], cls.w)
-        return 1, abs(g[cls.roles["axis_party"], cls.w]) + float(np.linalg.norm(t))
+        t = np.delete(g[roles["transverse_party"]], w)
+        return 1, abs(g[roles["axis_party"], w]) + float(np.linalg.norm(t)), 1.0
     if tag == TAG_AXIS_ONLY:
-        return 1, cls.roles["value"]
+        return 1, roles["value"], 0.5
     if tag == TAG_GENERAL_ONE:
-        comps = np.abs(g[cls.roles["party"]])
+        comps = np.abs(g[roles["party"]])
         nz = comps[comps > AXIS_TOL]
         if len(nz) == 3:
-            return 3, (2.0 / 3.0) * float(np.prod(nz))
-        return 2, float(np.prod(nz))
+            return 3, (2.0 / 3.0) * float(np.prod(nz)), ClosedForm(
+                1.0 / (36.0 * math.sqrt(3.0)), "1/(36*sqrt(3))")
+        return 2, float(np.prod(nz)), 0.25
     raise UnclassifiedForm(f"unknown tag {tag}")
+
+
+def _accessible_case(cls: Classified, mc: McConfig) -> tuple[int, float, float | None, float]:
+    """``(dimension, volume, stderr, V_sup)`` of the accessible set; stderr is
+    None for the closed forms, and the isolated set is normalized by 1."""
+    g, w, roles, tag = cls.gammas, cls.w, cls.roles, cls.tag
+    if tag == TAG_SEED:
+        ball = ClosedForm(29.0 * math.pi / 12.0, "29*pi/12")
+        return 3, ball, None, ball
+    if tag == TAG_ISOLATED:
+        return 0, 0.0, None, 1.0
+    if tag == TAG_MES:
+        radii2 = [0.25 - g[i, w] ** 2 for i in range(4)]
+        return 2, math.pi * float(sum(radii2)), None, ClosedForm(math.pi, "pi")
+    if tag == TAG_GENERAL_PLUS_AXES:
+        p = roles["general_party"]
+        t = np.delete(g[p], w)
+        return 1, math.sqrt(0.25 - g[p, w] ** 2) - float(np.linalg.norm(t)), None, 0.5
+    if tag == TAG_TWO_AXES:
+        (p1, u), (p2, v) = roles["parties"]
+        return 2, (0.5 - abs(g[p1, u])) * (0.5 - abs(g[p2, v])), None, 0.25
+    if tag == TAG_AXIS_TRANSVERSE:
+        t = np.delete(g[roles["transverse_party"]], w)
+        return 1, 0.5 - float(np.linalg.norm(t)), None, 0.5
+    if tag == TAG_AXIS_ONLY:
+        gv = roles["value"]
+        return 3, math.pi / 48.0 * (11.0 + 8.0 * gv * (gv * gv - 3.0)), None, ClosedForm(
+            11.0 * math.pi / 48.0, "11*pi/48")
+    if tag == TAG_GENERAL_ONE:
+        comps = np.abs(g[roles["party"]])
+        zero = comps <= AXIS_TOL
+        if zero.any():
+            nz = comps[~zero]
+            if not caseiii_3d_feasible(nz[0], nz[1]):
+                return 2, disc_corner_area(nz[0], nz[1]), None, ClosedForm(math.pi / 16.0, "pi/16")
+        res = caseiii_accessible_mc(comps, mc)
+        return 3, res.estimate, res.stderr, ClosedForm(math.pi / 12.0, "pi/12")
+    raise UnclassifiedForm(f"unknown tag {tag}")
+
+
+def source_volume_4q(cls: Classified) -> tuple[int, float]:
+    """Case formula for the source volume, with its intrinsic dimension."""
+    return _source_case(cls)[:2]
 
 
 def accessible_volume_4q(
@@ -703,59 +754,7 @@ def accessible_volume_4q(
     Returns ``(dimension, volume, stderr)`` where stderr is None for the
     closed forms.
     """
-    g = cls.gammas
-    tag = cls.tag
-    if tag == TAG_SEED:
-        return 3, 29.0 * math.pi / 12.0, None
-    if tag == TAG_ISOLATED:
-        return 0, 0.0, None
-    if tag == TAG_MES:
-        radii2 = [0.25 - g[i, cls.w] ** 2 for i in range(4)]
-        return 2, math.pi * float(sum(radii2)), None
-    if tag == TAG_GENERAL_PLUS_AXES:
-        p = cls.roles["general_party"]
-        t = _transverse(g[p], cls.w)
-        return 1, math.sqrt(0.25 - g[p, cls.w] ** 2) - float(np.linalg.norm(t)), None
-    if tag == TAG_TWO_AXES:
-        (p1, u), (p2, v) = cls.roles["parties"]
-        return 2, (0.5 - abs(g[p1, u])) * (0.5 - abs(g[p2, v])), None
-    if tag == TAG_AXIS_TRANSVERSE:
-        t = _transverse(g[cls.roles["transverse_party"]], cls.w)
-        return 1, 0.5 - float(np.linalg.norm(t)), None
-    if tag == TAG_AXIS_ONLY:
-        gv = cls.roles["value"]
-        return 3, math.pi / 48.0 * (11.0 + 8.0 * gv * (gv * gv - 3.0)), None
-    if tag == TAG_GENERAL_ONE:
-        comps = np.abs(g[cls.roles["party"]])
-        zero = comps <= AXIS_TOL
-        if zero.any():
-            nz = comps[~zero]
-            if not caseiii_3d_feasible(nz[0], nz[1]):
-                return 2, disc_corner_area(nz[0], nz[1]), None
-        res = caseiii_accessible_mc(comps, mc)
-        return 3, res.estimate, res.stderr
-    raise UnclassifiedForm(f"unknown tag {tag}")
-
-
-#: Normalization constants (V_sup) per structure tag; keys are (tag, dimension).
-_SOURCE_SUP = {
-    (TAG_GENERAL_PLUS_AXES, 1): 0.5,
-    (TAG_TWO_AXES, 2): 1.0,
-    (TAG_AXIS_TRANSVERSE, 1): 1.0,
-    (TAG_AXIS_ONLY, 1): 0.5,
-    (TAG_GENERAL_ONE, 3): 1.0 / (36.0 * math.sqrt(3.0)),
-    (TAG_GENERAL_ONE, 2): 0.25,
-}
-_ACCESS_SUP = {
-    (TAG_SEED, 3): 29.0 * math.pi / 12.0,
-    (TAG_MES, 2): math.pi,
-    (TAG_GENERAL_PLUS_AXES, 1): 0.5,
-    (TAG_TWO_AXES, 2): 0.25,
-    (TAG_AXIS_TRANSVERSE, 1): 0.5,
-    (TAG_AXIS_ONLY, 3): 11.0 * math.pi / 48.0,
-    (TAG_GENERAL_ONE, 3): math.pi / 12.0,
-    (TAG_GENERAL_ONE, 2): math.pi / 16.0,
-}
+    return _accessible_case(cls, mc)[:3]
 
 
 def entanglement_4q(
@@ -764,17 +763,14 @@ def entanglement_4q(
     """Source and accessible entanglement with case-matched normalizations.
 
     Values are only comparable between states whose volumes share a
-    dimension; the report carries both the dimension and the constant used.
+    dimension; the report carries both the dimension and the constant used,
+    and an irrational constant is a :class:`ClosedForm`.
     """
-    s_dim, s_vol = source_volume_4q(cls)
-    a_dim, a_vol, _ = accessible_volume_4q(cls, mc)
-    s_sup = _SOURCE_SUP.get((cls.tag, s_dim), 1.0)
-    a_sup = _ACCESS_SUP.get((cls.tag, a_dim), 1.0)
-    e_s = 1.0 - s_vol / s_sup
-    e_a = a_vol / a_sup if cls.tag != TAG_ISOLATED else 0.0
+    s_dim, s_vol, s_sup = _source_case(cls)
+    a_dim, a_vol, _, a_sup = _accessible_case(cls, mc)
     return (
-        MeasureReport("source", s_vol, s_dim, s_sup, e_s, s_dim),
-        MeasureReport("accessible", a_vol, a_dim, a_sup, e_a, a_dim),
+        MeasureReport("source", s_vol, s_dim, s_sup, 1.0 - s_vol / s_sup, s_dim),
+        MeasureReport("accessible", a_vol, a_dim, a_sup, a_vol / a_sup, a_dim),
     )
 
 

@@ -71,23 +71,30 @@ def sample_sorted_simplex(d: int, n: int, seed: int, chunk: int) -> np.ndarray:
     return x[:, ::-1]
 
 
+def _hit_fraction(draw, predicate, scale: float, cfg: McConfig) -> McResult:
+    """``scale`` times the fraction of ``cfg.samples`` points that ``predicate``
+    accepts, with its standard error; ``draw(n, chunk)`` gives chunk ``chunk``'s
+    n points."""
+    hits = 0
+    for idx, n in _chunks(cfg.samples):
+        hits += int(np.asarray(predicate(draw(n, idx)), dtype=bool).sum())
+    p = hits / cfg.samples
+    se = scale * math.sqrt(max(p * (1.0 - p), 0.0) / cfg.samples)
+    return McResult(p * scale, se, cfg.samples, cfg.seed)
+
+
 def _mc_majorization(lam: SchmidtVector, cfg: McConfig, accessible: bool) -> McResult:
     d = lam.d
     E = np.cumsum(lam.as_array())[: d - 1]
-    hits = 0
-    for idx, n in _chunks(cfg.samples):
-        pts = sample_sorted_simplex(d, n, cfg.seed, idx)
+
+    def predicate(pts: np.ndarray) -> np.ndarray:
         partial = np.cumsum(pts[:, : d - 1], axis=1)
         if accessible:
-            ok = np.all(partial >= E - 1e-12, axis=1)
-        else:
-            ok = np.all(partial <= E + 1e-12, axis=1)
-        hits += int(ok.sum())
-    region = sorted_region_volume(d)
-    p = hits / cfg.samples
-    est = p * region
-    se = region * math.sqrt(max(p * (1.0 - p), 0.0) / cfg.samples)
-    return McResult(est, se, cfg.samples, cfg.seed)
+            return np.all(partial >= E - 1e-12, axis=1)
+        return np.all(partial <= E + 1e-12, axis=1)
+
+    return _hit_fraction(lambda n, idx: sample_sorted_simplex(d, n, cfg.seed, idx),
+                         predicate, sorted_region_volume(d), cfg)
 
 
 def mc_source_volume(lam: SchmidtVector, cfg: McConfig) -> McResult:
@@ -115,14 +122,5 @@ def mc_region_volume(
     hi = np.asarray(box_hi, float)
     if lo.shape != hi.shape or np.any(hi <= lo):
         raise InconsistentInput("invalid bounding box")
-    box_vol = float(np.prod(hi - lo))
-    hits = 0
-    for idx, n in _chunks(cfg.samples):
-        g = _rng(cfg.seed, idx)
-        pts = g.uniform(lo, hi, size=(n, lo.size))
-        ok = np.asarray(predicate(pts), dtype=bool)
-        hits += int(ok.sum())
-    p = hits / cfg.samples
-    est = p * box_vol
-    se = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / cfg.samples)
-    return McResult(est, se, cfg.samples, cfg.seed)
+    return _hit_fraction(lambda n, idx: _rng(cfg.seed, idx).uniform(lo, hi, size=(n, lo.size)),
+                         predicate, float(np.prod(hi - lo)), cfg)

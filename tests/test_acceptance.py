@@ -29,10 +29,9 @@ from entvol.fourqubit import (
     accessible_volume_4q,
     build_seed,
     can_convert,
-    caseiii_3d_feasible,
     caseiii_accessible_mc,
     classify,
-    disc_corner_area,
+    entanglement_4q,
     kron4,
     povm_witness,
     random_seed_params,
@@ -254,13 +253,10 @@ def test_criterion_10_monotonicity_suite():
             a, b = gen(rng, SEED_PARAMS)
             assert can_convert(a, b), row
             ca, cb = classify(a), classify(b)
-            sa, sb = source_volume_4q(ca), source_volume_4q(cb)
+            sa, sb = _source_entanglement(ca), _source_entanglement(cb)
             compared_any = False
-            if sa[0] == sb[0]:  # equal source-volume dimension
-                from entvol.fourqubit import _SOURCE_SUP
-                es_a = 1 - sa[1] / _SOURCE_SUP.get((ca.tag, sa[0]), 1.0)
-                es_b = 1 - sb[1] / _SOURCE_SUP.get((cb.tag, sb[0]), 1.0)
-                if es_b > es_a + 1e-10:
+            if sa[1] == sb[1]:  # equal source-volume dimension
+                if sb[0] > sa[0] + 1e-10:
                     violations += 1
                 compared_any = True
             ea = _accessible_entanglement_crn(ca, pts)
@@ -276,21 +272,25 @@ def test_criterion_10_monotonicity_suite():
                    f"violations={violations}, compared={sum(compared.values())}")
 
 
+#: The normalizations do not depend on the sampling plan, so the program's
+#: reports are read at the smallest one; the numeric volume comes from the
+#: shared samples instead.
+_SUP_ONLY = McConfig(samples=1_000)
+
+
+def _source_entanglement(cls):
+    """(E_s, dimension) as the program reports them."""
+    rep = entanglement_4q(cls, _SUP_ONLY)[0]
+    return rep.entanglement, rep.dimension
+
+
 def _accessible_entanglement_crn(cls, pts):
     """(E_a, dimension) using shared samples for the numeric region."""
-    from entvol.fourqubit import _ACCESS_SUP
-    if cls.tag == TAG_GENERAL_ONE:
+    rep = entanglement_4q(cls, _SUP_ONLY)[1]
+    if cls.tag == TAG_GENERAL_ONE and rep.dimension == 3:
         comps = np.abs(cls.gammas[cls.roles["party"]])
-        zero = comps <= 1e-10
-        if zero.any():
-            nz = comps[~zero]
-            if not caseiii_3d_feasible(nz[0], nz[1]):
-                return disc_corner_area(nz[0], nz[1]) / _ACCESS_SUP[(cls.tag, 2)], 2
-        vol = _region_volume_crn(pts, comps)
-        return vol / _ACCESS_SUP[(cls.tag, 3)], 3
-    dim, vol, _ = accessible_volume_4q(cls)
-    sup = _ACCESS_SUP.get((cls.tag, dim), 1.0)
-    return vol / sup, dim
+        return _region_volume_crn(pts, comps) / rep.v_sup, 3
+    return rep.entanglement, rep.dimension
 
 
 def test_criterion_11_povm_witnesses():

@@ -84,6 +84,34 @@ def test_fourqubit_measures_seed(capsys):
     assert payload["V_a_symbolic"] == "29*pi/12"
 
 
+@pytest.mark.parametrize("gammas,tag,closed", [
+    ("0,0,0;0,0,0;0,0,0;0,0,0", "seed", {"V_a", "V_a_sup"}),
+    ("0.2,0,0;0.1,0,0;0,0,0;0,0,0", "mes_aligned", {"V_a_sup"}),
+    ("0.2,0,0;0,0,0;0,0,0;0,0,0", "axis_only", {"V_a_sup"}),
+    ("0.23,0.13,0.15;0,0,0;0,0,0;0,0,0", "general_one_party", {"V_s_sup", "V_a_sup"}),
+    ("0.05,0.04,0;0,0,0;0,0,0;0,0,0", "general_one_party", {"V_a_sup"}),  # V_s 2-D, V_a 3-D
+    ("0.3,0.2,0;0,0,0;0,0,0;0,0,0", "general_one_party", {"V_a_sup"}),    # both 2-D
+    ("0.15,0.2,0.1;0.3,0,0;0.1,0,0;0,0,0", "general_plus_axes", set()),
+    ("0,0.3,0;0.1,0,0;0,0,0;0,0,0", "two_axes", set()),
+    ("0.3,0,0;0,0.1,0.15;0,0,0;0,0,0", "axis_plus_transverse", set()),
+    ("0.1,0.1,0.1;0.1,0.1,0.1;0,0,0;0,0,0", "isolated", set()),
+])
+def test_fourqubit_measures_closed_forms(capsys, gammas, tag, closed):
+    """Each printed closed form evaluates to the number printed beside it,
+    to all 12 printed digits."""
+    code, out, _ = run(capsys, "fourqubit", "measures", "--gammas", gammas,
+                       "--mc-samples", "20000", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["class"] == tag
+    symbolic = {key[: -len("_symbolic")]: text for key, text in payload.items()
+                if key.endswith("_symbolic")}
+    assert set(symbolic) == closed
+    for key, text in symbolic.items():
+        value = eval(text, {"__builtins__": {}}, {"pi": math.pi, "sqrt": math.sqrt})
+        assert float(format(value, ".12g")) == payload[key], key
+
+
 def test_fourqubit_classify_and_convert(capsys):
     code, out, _ = run(capsys, "fourqubit", "classify",
                        "--gammas", "0.15,0.2,0.1;0.3,0,0;0.1,0,0;0,0,0", "--json")
@@ -163,6 +191,27 @@ def test_mc_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("ENTVOL_MC_SEED", "6")
     _, out_c, _ = run(capsys, *args)
     assert json.loads(out_a)["V_a"] != json.loads(out_c)["V_a"]
+
+
+def test_mc_seed_read_only_by_sampling_commands(capsys, monkeypatch):
+    monkeypatch.setenv("ENTVOL_MC_SEED", "abc")
+    assert run(capsys, "bipartite", "source", "--schmidt", "0.5,0.5")[0] == 0
+    assert run(capsys, "oracle", "region", "--samples", "2000")[0] == 64
+    assert run(capsys, "oracle", "region", "--samples", "2000", "--seed", "3")[0] == 0
+
+
+@pytest.mark.parametrize("seed,expected", [
+    ("18446744073709551616", 64),  # 2^64
+    ("-9223372036854775809", 64),  # -2^63 - 1
+    ("1.5", 64),
+    ("9223372036854775808", 0),    # 2^63
+    ("-9223372036854775808", 0),   # -2^63
+])
+def test_mc_seed_range(capsys, seed, expected):
+    code, out, _ = run(capsys, "oracle", "region", "--samples", "2000", f"--seed={seed}")
+    assert code == expected
+    if expected == 0:
+        assert json.loads(out)["seed"] == int(seed)
 
 
 def test_domain_error_exit_code(capsys):

@@ -124,7 +124,9 @@ def argv(draw) -> tuple[list[str], str]:
         return [group, cmd] + args, ""
     if group == "fourqubit":
         cmd = draw(st.sampled_from(["classify", "measures", "convert", "witness", "sweep"]))
-        if cmd in ("classify", "measures"):
+        if cmd == "classify":
+            args = [_opt("gammas", draw(gammas()))] + draw(JSON_FLAG)
+        elif cmd == "measures":
             args = [_opt("gammas", draw(gammas())), _opt("mc-samples", draw(SAMPLES)),
                     _opt("mc-seed", draw(SEED))] + draw(JSON_FLAG)
         elif cmd == "sweep":

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -356,6 +358,9 @@ def test_volumes_seed():
     assert dim_a == 3 and v_a == 29 * math.pi / 12
     s_rep, a_rep = entanglement_4q(cls)
     assert s_rep.entanglement == 1.0 and a_rep.entanglement == 1.0
+    # the closed form survives copies and pickles of the report
+    for rep in (copy.deepcopy(a_rep), pickle.loads(pickle.dumps(a_rep))):
+        assert rep == a_rep and rep.v_sup.text == "29*pi/12"
 
 
 def test_measures_ignore_seed_parameters():
