@@ -18,8 +18,9 @@ along a common Pauli axis.  The convertibility predicate reduces per party to
 the existence of a probability vector (p_0..p_3) over the Pauli twirl whose
 character vector eta satisfies ``eta (.) zeta = gamma`` componentwise; eta
 ranges over the tetrahedron with vertices (1,1,1), (1,-1,-1), (-1,1,-1),
-(-1,-1,1).  The explicit local POVMs realizing each conversion are built and
-verified in :func:`povm_witness`.
+(-1,-1,1).  Each conversion row's protocol is a sequence of one-party Pauli
+twirls, which the row's condition returns beside its verdict;
+:func:`povm_witness` composes them into explicit local POVMs and verifies them.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ KLEIN_SIGNS = (
     np.array([-1.0, 1.0, -1.0]),
     np.array([-1.0, -1.0, 1.0]),
 )
-
-# Pauli index composition up to phase (Klein four-group, XOR on 2-bit labels).
-_PAULI_MUL = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +461,18 @@ class Verdict:
         return self.convertible
 
 
+# A row's protocol is a list of steps, each a Pauli twirl of one party:
+# (party, gamma_old, gamma_new, probs), probs being the probabilities of the
+# four Pauli patterns (identity, sigma_x, sigma_y, sigma_z).
+
+def _two_patterns(p: float, c: int) -> np.ndarray:
+    """The identity with probability p, sigma_c with 1 - p."""
+    probs = np.zeros(4)
+    probs[0] = p
+    probs[c] = 1.0 - p
+    return probs
+
+
 def _scaling_condition(gi: np.ndarray, zf: np.ndarray):
     """Axis components all frozen; one party's transverse pair scales up."""
     for w in range(3):
@@ -485,7 +495,8 @@ def _scaling_condition(gi: np.ndarray, zf: np.ndarray):
             continue  # final transverse vanishes; nothing to scale toward
         s = float(t_i @ t_f) / denom
         if -CONVERT_TOL <= s <= 1.0 + CONVERT_TOL and np.max(np.abs(t_i - s * t_f)) <= CONVERT_TOL:
-            return ROW_SCALING, (w, p, min(max(s, 0.0), 1.0))
+            s = min(max(s, 0.0), 1.0)
+            return ROW_SCALING, [(p, gi[p], zf[p], _two_patterns((1.0 + s) / 2.0, w + 1))]
     return None
 
 
@@ -509,9 +520,14 @@ def _rectangle_condition(gi, zf):
         if zf[p, u] < -CONVERT_TOL or gi[p, u] < -CONVERT_TOL or gi[p, u] > zf[p, u] + CONVERT_TOL:
             return None
         pairs.append((p, u))
-    if pairs[0][1] == pairs[1][1]:
+    (p1, u), (p2, v) = pairs
+    if u == v:
         return None
-    return ROW_RECTANGLE, tuple(pairs)
+    # each twirl's sigma lies along the other party's axis, leaving that party in place
+    return ROW_RECTANGLE, [
+        (p1, gi[p1], zf[p1], _two_patterns((1.0 + gi[p1, u] / zf[p1, u]) / 2.0, v + 1)),
+        (p2, gi[p2], zf[p2], _two_patterns((1.0 + gi[p2, v] / zf[p2, v]) / 2.0, u + 1)),
+    ]
 
 
 def _single_party_condition(gi, zf):
@@ -525,7 +541,9 @@ def _single_party_condition(gi, zf):
     if eta is None:
         return None
     nz_f = int(np.sum(np.abs(zf[p]) > CONVERT_TOL))
-    return {3: ROW_GENERAL, 2: ROW_PLANE, 1: ROW_AXIS}[nz_f], (p, eta)
+    probs = np.clip(_eta_to_probs(eta), 0.0, None)
+    probs /= probs.sum()
+    return {3: ROW_GENERAL, 2: ROW_PLANE, 1: ROW_AXIS}[nz_f], [(p, gi[p], zf[p], probs)]
 
 
 def _axis_then_transverse_condition(gi, zf):
@@ -554,12 +572,19 @@ def _axis_then_transverse_condition(gi, zf):
                 continue
             if gi[p, w] > zf[axis_party, w] + CONVERT_TOL:
                 continue
-        return ROW_AXIS_THEN_T, (axis_party, other, w)
+        steps = []
+        if abs(gi[axis_party, w] - zf[axis_party, w]) > CONVERT_TOL:
+            c = next(u for u in range(3) if u != w)
+            ratio = gi[axis_party, w] / zf[axis_party, w]
+            steps.append((axis_party, gi[axis_party], zf[axis_party],
+                          _two_patterns((1.0 + ratio) / 2.0, c + 1)))
+        steps.append((other, np.zeros(3), zf[other], _two_patterns(0.5, w + 1)))
+        return ROW_AXIS_THEN_T, steps
     return None
 
 
 #: The rows in the order they are tried: final tags, initial tags (None for
-#: any) and the condition, which returns (row, condition data) or None.
+#: any) and the condition, which returns (row, steps) or None.
 _ROW_CONDITIONS = (
     ((TAG_GENERAL_PLUS_AXES, TAG_AXIS_TRANSVERSE), None, _scaling_condition),
     ((TAG_TWO_AXES,), (TAG_TWO_AXES,), _rectangle_condition),
@@ -573,7 +598,7 @@ _ROW_CONDITIONS = (
 def _decide(initial: FourQubitForm, final: FourQubitForm):
     """``(verdict, basis)``, where a convertible verdict's basis is what its
     witness needs: the initial standard-form gammas, the final ones under the
-    matched Klein sign and the row's condition data (None for the identity)."""
+    matched Klein sign and the row's protocol steps (none for the identity)."""
     if not same_slocc_class(initial.seed, final.seed):
         raise DifferentSLOCCClass("seed parameter squares do not match")
     ci = classify(initial)
@@ -583,7 +608,7 @@ def _decide(initial: FourQubitForm, final: FourQubitForm):
     for ks, signs in enumerate(KLEIN_SIGNS):
         zf = cf.gammas * signs
         if np.max(np.abs(gi - zf)) <= CONVERT_TOL:
-            return Verdict(True, ROW_IDENTITY, ks), (gi, zf, None)
+            return Verdict(True, ROW_IDENTITY, ks), (gi, zf, [])
 
     if ci.tag == TAG_ISOLATED or cf.tag == TAG_ISOLATED:
         return Verdict(False, detail="isolated state"), None
@@ -596,7 +621,8 @@ def _decide(initial: FourQubitForm, final: FourQubitForm):
             if cf.tag in finals and (initials is None or ci.tag in initials):
                 match = condition(gi, zf)
                 if match is not None:
-                    return Verdict(True, match[0], ks), (gi, zf, match[1])
+                    row, steps = match
+                    return Verdict(True, row, ks), (gi, zf, steps)
     return Verdict(False, detail="no transformation row applies"), None
 
 
@@ -790,85 +816,21 @@ class PovmWitness:
     eta_residual: float
     outcome_mismatch: float
 
-    def operators(self) -> list[np.ndarray]:
-        return [kron4(*ops) for ops in self.outcomes]
 
-
-def _two_outcome_step(party: int, g_old: np.ndarray, g_new: np.ndarray,
-                      p: float, correction: int):
-    """Outcomes {sqrt(p) h g^-1, sqrt(1-p) h sigma_c g^-1 (x) sigma_c elsewhere}."""
-    h = sqrt_g(g_new)
-    ginv = np.linalg.inv(sqrt_g(g_old))
+def _twirl(party: int, gamma_old: np.ndarray, gamma_new: np.ndarray, probs):
+    """Outcomes ``(ops, k)`` of a Pauli twirl of one party: sqrt(p_k) h sigma_k
+    g^-1 on ``party`` and sigma_k on the others, for each pattern k with
+    p_k > 1e-14, where g and h are the square roots of the old and new G."""
+    h = sqrt_g(gamma_new)
+    ginv = np.linalg.inv(sqrt_g(gamma_old))
     outcomes = []
-    if p > 1e-14:
-        ops = [_I.copy() for _ in range(4)]
-        ops[party] = math.sqrt(p) * (h @ ginv)
-        outcomes.append((tuple(ops), 0))
-    if 1.0 - p > 1e-14:
-        ops = [PAULI[correction].copy() for _ in range(4)]
-        ops[party] = math.sqrt(1.0 - p) * (h @ PAULI[correction] @ ginv)
-        outcomes.append((tuple(ops), correction))
+    for k in range(4):
+        if probs[k] <= 1e-14:
+            continue
+        ops = [PAULI[k].copy() for _ in range(4)]
+        ops[party] = math.sqrt(probs[k]) * (h @ PAULI[k] @ ginv)
+        outcomes.append((tuple(ops), k))
     return outcomes
-
-
-def _compose(step1, step2):
-    out = []
-    for ops1, c1 in step1:
-        for ops2, c2 in step2:
-            ops = tuple(ops2[p] @ ops1[p] for p in range(4))
-            out.append((ops, _PAULI_MUL[c2][c1]))
-    return out
-
-
-def _witness_outcomes(row: str, gi: np.ndarray, zf: np.ndarray, hit):
-    """Outcomes of the protocol for ``row``, from its condition data ``hit``."""
-    if row == ROW_IDENTITY:
-        return [((_I, _I, _I, _I), 0)]
-
-    if row == ROW_SCALING:
-        w, party, s = hit
-        p = (1.0 + s) / 2.0
-        return _two_outcome_step(party, gi[party], zf[party], p, w + 1)
-
-    if row == ROW_RECTANGLE:
-        (p1, u), (p2, v) = hit
-        s1 = gi[p1, u] / zf[p1, u]
-        s2 = gi[p2, v] / zf[p2, v]
-        mid = gi.copy()
-        mid[p1] = zf[p1]
-        step1 = _two_outcome_step(p1, gi[p1], zf[p1], (1.0 + s1) / 2.0, v + 1)
-        step2 = _two_outcome_step(p2, mid[p2], zf[p2], (1.0 + s2) / 2.0, u + 1)
-        return _compose(step1, step2)
-
-    if row in (ROW_GENERAL, ROW_PLANE, ROW_AXIS):
-        party, eta = hit
-        probs = np.clip(_eta_to_probs(eta), 0.0, None)
-        probs /= probs.sum()
-        h = sqrt_g(zf[party])
-        ginv = np.linalg.inv(sqrt_g(gi[party]))
-        outcomes = []
-        for k in range(4):
-            if probs[k] <= 1e-14:
-                continue
-            ops = [PAULI[k].copy() for _ in range(4)]
-            ops[party] = math.sqrt(probs[k]) * (h @ PAULI[k] @ ginv)
-            outcomes.append((tuple(ops), k))
-        return outcomes
-
-    # ROW_AXIS_THEN_T
-    axis_party, other, w = hit
-    g_axis = gi[axis_party]
-    ratio = g_axis[w] / zf[axis_party, w] if abs(zf[axis_party, w]) > CONVERT_TOL else 1.0
-    steps = []
-    if abs(g_axis[w] - zf[axis_party, w]) > CONVERT_TOL:
-        c = next(u for u in range(3) if u != w)
-        steps.append(_two_outcome_step(
-            axis_party, g_axis, zf[axis_party], (1.0 + ratio) / 2.0, c + 1))
-    steps.append(_two_outcome_step(other, np.zeros(3), zf[other], 0.5, w + 1))
-    combined = steps[0]
-    for s in steps[1:]:
-        combined = _compose(combined, s)
-    return combined
 
 
 def povm_witness(initial: FourQubitForm, final: FourQubitForm) -> PovmWitness:
@@ -883,8 +845,12 @@ def povm_witness(initial: FourQubitForm, final: FourQubitForm) -> PovmWitness:
     verdict, basis = _decide(initial, final)
     if not verdict:
         raise NotConvertible(verdict.detail or "states are not LOCC related")
-    gi, zf, hit = basis
-    outcomes = _witness_outcomes(verdict.row, gi, zf, hit)
+    gi, zf, steps = basis
+    outcomes = _twirl(*steps[0]) if steps else [(tuple(_I.copy() for _ in range(4)), 0)]
+    for step in steps[1:]:
+        # later twirls act after earlier ones; Pauli labels multiply by XOR
+        outcomes = [(tuple(b[q] @ a[q] for q in range(4)), ka ^ kb)
+                    for a, ka in outcomes for b, kb in _twirl(*step)]
 
     mats = [kron4(*ops) for ops, _ in outcomes]
     total = sum(m.conj().T @ m for m in mats)

@@ -59,7 +59,10 @@ def _chunks(total: int):
 
 
 def _rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, chunk]))
+    # a seed in [-2^63, 2^64) is one 64-bit key word, negative seeds wrapping
+    # to their two's complement; a plain list would pass through float64
+    key = np.array([seed % 2 ** 64, chunk], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_sorted_simplex(d: int, n: int, seed: int, chunk: int) -> np.ndarray:

@@ -228,10 +228,14 @@ def volume_triangulation(V: VertexSet | np.ndarray) -> tuple[float, int]:
     Returns ``(volume, dimension)``.  A polytope whose affine hull is a point
     is degenerate: volume 0.0 is returned with dimension 0 (flagged by the
     dimension, not an exception, so measure-zero sets stay representable).
+    The points are sorted lexicographically first, so that the centroid, the
+    basis and qhull's hull, and with them the volume, do not depend on the
+    order they come in.
     """
     from scipy.spatial import ConvexHull, QhullError  # scipy loads only when called
 
     pts = V.vertices if isinstance(V, VertexSet) else np.atleast_2d(np.asarray(V, float))
+    pts = pts[np.lexsort(pts.T[::-1])]
     dim = affine_dimension(pts)
     if dim == 0:
         return 0.0, 0

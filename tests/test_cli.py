@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,22 @@ def test_mc_seed_range(capsys, seed, expected):
     assert code == expected
     if expected == 0:
         assert json.loads(out)["seed"] == int(seed)
+
+
+def test_mc_seed_top_word_keeps_its_bits(capsys):
+    # 2^64 - 1 is the key word of -1; through a float it would turn into 0
+    def estimate(seed):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "oracle", "region", "--samples", "2000",
+                                 f"--seed={seed}")
+        assert code == 0
+        assert err == "" and not caught, (err, [str(w.message) for w in caught])
+        return json.loads(out)["estimate"]
+
+    top = estimate(2 ** 64 - 1)
+    assert top == estimate(-1)
+    assert top != estimate(0)
 
 
 def test_domain_error_exit_code(capsys):

@@ -20,7 +20,7 @@ from entvol.polytope import (
 )
 from entvol.schmidt import SchmidtVector, canonicalize
 
-from _helpers import source_polytope_adjacency, source_polytope_vertices
+from _helpers import pulling_volume, source_polytope_adjacency, source_polytope_vertices
 
 
 UNIT_SQUARE = HalfspaceSystem(
@@ -179,14 +179,18 @@ FAN_SENSITIVE = (
 
 @pytest.mark.parametrize("lam", FAN_SENSITIVE, ids=lambda lam: f"d{len(lam)}")
 def test_volume_independent_of_vertex_order(lam):
-    # the polytope engine's own vertices, in enumerate_vertices' order; qhull
-    # raises on the d8 set in some other orders and its joggled retry is then
-    # off by 3.9e-5 relative
-    pts = enumerate_vertices(accessible_hrep(SchmidtVector(lam))).vertices
-    vol, dim = volume_triangulation(pts)
-    vol_rev, dim_rev = volume_triangulation(pts[::-1])
-    assert dim == dim_rev == len(lam) - 1
-    assert vol_rev == pytest.approx(vol, rel=1e-12, abs=0.0)
+    # the polytope engine's own vertices, in enumerate_vertices' order, then
+    # reversed and shuffled; unsorted, qhull raises on the d8 set in some
+    # orders and its joggled retry is then off by 3.9e-5 relative
+    V = enumerate_vertices(accessible_hrep(SchmidtVector(lam)))
+    ref = pulling_volume(V)
+    rng = np.random.default_rng(len(lam))
+    orders = [np.arange(V.n), np.arange(V.n)[::-1]] + [rng.permutation(V.n) for _ in range(20)]
+    results = {volume_triangulation(V.vertices[order]) for order in orders}
+    assert len(results) == 1
+    (vol, dim), = results
+    assert dim == len(lam) - 1
+    assert vol == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_brion_independent_of_xi():

@@ -5,6 +5,7 @@ import pytest
 
 from entvol import errors
 from entvol.fourqubit import (
+    PAULI,
     can_convert,
     eta_solve,
     povm_witness,
@@ -32,6 +33,8 @@ def test_identity_witness_is_trivial():
     assert wit.probabilities[0] == pytest.approx(1.0, abs=1e-12)
     op = wit.outcomes[0][0]
     assert np.allclose(op, np.eye(2))
+    # the caller's operators are its own, not the module's Pauli matrices
+    assert not np.shares_memory(op, PAULI[0])
 
 
 def test_not_convertible_raises():
@@ -89,6 +92,40 @@ def test_witness_axis_then_transverse_structure():
     wit = povm_witness(a, b)
     assert wit.row == "axis_then_transverse"
     assert len(wit.outcomes) == 4  # two two-outcome steps composed
+
+
+@pytest.mark.parametrize("final_tag", ["axis_plus_transverse", "two_axes"])
+@pytest.mark.parametrize("start,n_outcomes", [("seed", 4), ("smaller", 4), ("equal", 2)])
+def test_witness_axis_then_transverse_branches(start, n_outcomes, final_tag):
+    # the axis party's twirl runs only when its value grows; an equal value
+    # leaves the second party's twirl alone
+    rng = np.random.default_rng(700)
+    for _ in range(5):
+        axis_party, other = (int(p) for p in rng.choice(4, size=2, replace=False))
+        w = int(rng.integers(3))
+        off = [u for u in range(3) if u != w]
+        z = rng.uniform(0.1, 0.4)
+        final = np.zeros((4, 3))
+        final[axis_party, w] = z
+        if final_tag == "axis_plus_transverse":
+            final[other, off] = rng.uniform(0.05, 0.25, size=2) * rng.choice([-1, 1], size=2)
+        else:
+            final[other, rng.choice(off)] = rng.uniform(0.05, 0.35)
+        initial = np.zeros((4, 3))
+        if start != "seed":
+            initial[axis_party, w] = z if start == "equal" else rng.uniform(0.02, z - 0.02)
+        a, b = F(initial), F(final)
+        wit = povm_witness(a, b)
+        # an unchanged axis value makes an axis_plus_transverse target a scaling
+        expected = ("transverse_scaling" if (start, final_tag) == ("equal", "axis_plus_transverse")
+                    else "axis_then_transverse")
+        assert can_convert(a, b).row == wit.row == expected
+        assert len(wit.outcomes) == n_outcomes
+        assert wit.completeness_residual <= 1e-12
+        assert wit.eta_residual <= 1e-10
+        assert wit.outcome_mismatch <= 1e-9
+        assert sum(wit.probabilities) == pytest.approx(1.0, abs=1e-10)
+        assert all(p >= -1e-12 for p in wit.probabilities)
 
 
 def test_eta_completion_used_by_witness_is_feasible():
