@@ -41,12 +41,14 @@ from .errors import (
 from .oracle import McConfig, McResult, mc_region_volume
 from .bipartite import MeasureReport
 
-#: A party counts as axis-aligned when its off-axis components are below this.
+#: A gamma component of at most this magnitude is zero: :func:`classify` sets
+#: it to exactly 0, once, and every later support test reads those zeros.
 AXIS_TOL = 1e-10
 #: Strict norm bound keeping every G positive definite in double precision.
 GAMMA_NORM_MAX = 0.5 - 1e-12
-#: Agreement of gamma components and of squared seed parameters in the
-#: convertibility decision and the witness built from it.
+#: Agreement of two values in the convertibility decision: gamma components
+#: of the two states, bounds of the tetrahedron and of the growth of a
+#: component, and squared seed parameters.  It never decides support.
 CONVERT_TOL = 1e-9
 #: Least separation of the squared parameters that ``random_seed_params`` draws.
 SEED_MIN_GAP = 0.03
@@ -228,12 +230,6 @@ def kron4(a, b, c, d) -> np.ndarray:
     return np.kron(np.kron(a, b), np.kron(c, d))
 
 
-def pauli_on(party: int, k: int) -> np.ndarray:
-    ops = [_I, _I, _I, _I]
-    ops[party] = PAULI[k]
-    return kron4(*ops)
-
-
 def standard_form(form: FourQubitForm) -> FourQubitForm:
     """Fix the global sign gauge: the lexicographically largest Klein variant.
 
@@ -349,15 +345,20 @@ def _classify_at(g: np.ndarray, tol: float):
 def classify(form: FourQubitForm) -> Classified:
     """Detect the structure of a state, conservatively, with a near-miss note.
 
-    States outside the convertible family are tagged isolated; if a looser
-    alignment tolerance (1e-6) would have placed them inside, the diagnostic
-    records the near-miss instead of silently reclassifying.
+    This is where support is decided: every gamma component of magnitude at
+    most ``AXIS_TOL`` is set to exactly 0 before the standard form is taken,
+    and the classified gammas carry those zeros to the conversion rows, the
+    witness and the case volumes.  States outside the convertible family are
+    tagged isolated; if a looser alignment tolerance (1e-6) would have placed
+    them inside, the diagnostic records the near-miss instead of silently
+    reclassifying.
     """
-    sf = standard_form(form)
+    zeroed = np.where(np.abs(form.gammas) <= AXIS_TOL, 0.0, form.gammas)
+    sf = standard_form(FourQubitForm(form.seed, zeroed))
     g = sf.gammas
-    if np.max(np.abs(g)) <= AXIS_TOL:
+    if not g.any():
         return Classified(sf, TAG_SEED)
-    decision = _classify_at(g, AXIS_TOL)
+    decision = _classify_at(g, 0.0)
     if decision is None:
         diag = None
         if _classify_at(g, 1e-6) is not None:
@@ -380,16 +381,17 @@ def eta_solve(gam: np.ndarray, zet: np.ndarray) -> np.ndarray | None:
     Components with zet == 0 force gam == 0 and leave the corresponding eta
     free; feasibility of a completion reduces to the forced components lying
     in the tetrahedron's projection (a box, or the full tetrahedron when all
-    three are forced).  Returns a feasible eta, or None.  Every comparison is
-    to CONVERT_TOL, since this decides convertibility.
+    three are forced).  Returns a feasible eta, or None.  Zero means exactly
+    0, as :func:`classify` leaves it; the tetrahedron bounds are met to
+    CONVERT_TOL.
     """
     eta = np.zeros(3)
     free = []
     for l in range(3):
-        if abs(zet[l]) > CONVERT_TOL:
+        if zet[l] != 0:
             eta[l] = gam[l] / zet[l]
         else:
-            if abs(gam[l]) > CONVERT_TOL:
+            if gam[l] != 0:
                 return None
             free.append(l)
     forced = [l for l in range(3) if l not in free]
@@ -454,7 +456,6 @@ ROW_AXIS_THEN_T = "axis_then_transverse" # grow an axis, then switch on a second
 class Verdict:
     convertible: bool
     row: str | None = None
-    klein: int | None = None              # sign variant applied to the final gammas
     detail: str | None = None
 
     def __bool__(self) -> bool:
@@ -479,10 +480,7 @@ def _scaling_condition(gi: np.ndarray, zf: np.ndarray):
         if np.max(np.abs(gi[:, w] - zf[:, w])) > CONVERT_TOL:
             continue
         off = [u for u in range(3) if u != w]
-        diff_parties = [
-            p for p in range(4)
-            if np.max(np.abs(gi[p, off])) > CONVERT_TOL or np.max(np.abs(zf[p, off])) > CONVERT_TOL
-        ]
+        diff_parties = [p for p in range(4) if gi[p, off].any() or zf[p, off].any()]
         if len(diff_parties) > 1:
             continue
         if not diff_parties:
@@ -490,10 +488,9 @@ def _scaling_condition(gi: np.ndarray, zf: np.ndarray):
         p = diff_parties[0]
         t_i = gi[p, off]
         t_f = zf[p, off]
-        denom = float(t_f @ t_f)
-        if denom <= CONVERT_TOL * CONVERT_TOL:
+        if not t_f.any():
             continue  # final transverse vanishes; nothing to scale toward
-        s = float(t_i @ t_f) / denom
+        s = float(t_i @ t_f) / float(t_f @ t_f)
         if -CONVERT_TOL <= s <= 1.0 + CONVERT_TOL and np.max(np.abs(t_i - s * t_f)) <= CONVERT_TOL:
             s = min(max(s, 0.0), 1.0)
             return ROW_SCALING, [(p, gi[p], zf[p], _two_patterns((1.0 + s) / 2.0, w + 1))]
@@ -501,7 +498,7 @@ def _scaling_condition(gi: np.ndarray, zf: np.ndarray):
 
 
 def _active_parties(g: np.ndarray) -> list[int]:
-    return [p for p in range(4) if np.max(np.abs(g[p])) > CONVERT_TOL]
+    return [p for p in range(4) if g[p].any()]
 
 
 def _rectangle_condition(gi, zf):
@@ -512,12 +509,12 @@ def _rectangle_condition(gi, zf):
         return None
     pairs = []
     for p in af:
-        comps_f = np.flatnonzero(np.abs(zf[p]) > CONVERT_TOL)
-        comps_i = np.flatnonzero(np.abs(gi[p]) > CONVERT_TOL)
+        comps_f = np.flatnonzero(zf[p])
+        comps_i = np.flatnonzero(gi[p])
         if len(comps_f) != 1 or not set(comps_i) <= set(comps_f):
             return None
         u = int(comps_f[0])
-        if zf[p, u] < -CONVERT_TOL or gi[p, u] < -CONVERT_TOL or gi[p, u] > zf[p, u] + CONVERT_TOL:
+        if zf[p, u] < 0 or gi[p, u] < 0 or gi[p, u] > zf[p, u] + CONVERT_TOL:
             return None
         pairs.append((p, u))
     (p1, u), (p2, v) = pairs
@@ -540,7 +537,7 @@ def _single_party_condition(gi, zf):
     eta = eta_solve(gi[p], zf[p])
     if eta is None:
         return None
-    nz_f = int(np.sum(np.abs(zf[p]) > CONVERT_TOL))
+    nz_f = np.count_nonzero(zf[p])
     probs = np.clip(_eta_to_probs(eta), 0.0, None)
     probs /= probs.sum()
     return {3: ROW_GENERAL, 2: ROW_PLANE, 1: ROW_AXIS}[nz_f], [(p, gi[p], zf[p], probs)]
@@ -556,18 +553,18 @@ def _axis_then_transverse_condition(gi, zf):
         return None
     # final: one party on a single axis w, the second purely transverse to w
     for axis_party in af:
-        comps = np.flatnonzero(np.abs(zf[axis_party]) > CONVERT_TOL)
+        comps = np.flatnonzero(zf[axis_party])
         if len(comps) != 1:
             continue
         w = int(comps[0])
         other = next(q for q in af if q != axis_party)
-        if abs(zf[other, w]) > CONVERT_TOL:
+        if zf[other, w] != 0:
             continue
-        if zf[axis_party, w] < -CONVERT_TOL:
+        if zf[axis_party, w] < 0:
             continue
         if ai:
             p = ai[0]
-            comps_i = np.flatnonzero(np.abs(gi[p]) > CONVERT_TOL)
+            comps_i = np.flatnonzero(gi[p])
             if p != axis_party or len(comps_i) != 1 or int(comps_i[0]) != w:
                 continue
             if gi[p, w] > zf[axis_party, w] + CONVERT_TOL:
@@ -597,7 +594,7 @@ _ROW_CONDITIONS = (
 
 def _decide(initial: FourQubitForm, final: FourQubitForm):
     """``(verdict, basis)``, where a convertible verdict's basis is what its
-    witness needs: the initial standard-form gammas, the final ones under the
+    witness needs: the initial classified gammas, the final ones under the
     matched Klein sign and the row's protocol steps (none for the identity)."""
     if not same_slocc_class(initial.seed, final.seed):
         raise DifferentSLOCCClass("seed parameter squares do not match")
@@ -605,24 +602,24 @@ def _decide(initial: FourQubitForm, final: FourQubitForm):
     cf = classify(final)
     gi = ci.gammas
 
-    for ks, signs in enumerate(KLEIN_SIGNS):
+    for signs in KLEIN_SIGNS:
         zf = cf.gammas * signs
         if np.max(np.abs(gi - zf)) <= CONVERT_TOL:
-            return Verdict(True, ROW_IDENTITY, ks), (gi, zf, [])
+            return Verdict(True, ROW_IDENTITY), (gi, zf, [])
 
     if ci.tag == TAG_ISOLATED or cf.tag == TAG_ISOLATED:
         return Verdict(False, detail="isolated state"), None
     if cf.tag in (TAG_SEED, TAG_MES):
         return Verdict(False, detail="target cannot be reached by any other class"), None
 
-    for ks, signs in enumerate(KLEIN_SIGNS):
+    for signs in KLEIN_SIGNS:
         zf = cf.gammas * signs
         for finals, initials, condition in _ROW_CONDITIONS:
             if cf.tag in finals and (initials is None or ci.tag in initials):
                 match = condition(gi, zf)
                 if match is not None:
                     row, steps = match
-                    return Verdict(True, row, ks), (gi, zf, steps)
+                    return Verdict(True, row), (gi, zf, steps)
     return Verdict(False, detail="no transformation row applies"), None
 
 
@@ -721,7 +718,7 @@ def _source_case(cls: Classified) -> tuple[int, float, float]:
         return 1, roles["value"], 0.5
     if tag == TAG_GENERAL_ONE:
         comps = np.abs(g[roles["party"]])
-        nz = comps[comps > AXIS_TOL]
+        nz = comps[comps != 0]
         if len(nz) == 3:
             return 3, (2.0 / 3.0) * float(np.prod(nz)), ClosedForm(
                 1.0 / (36.0 * math.sqrt(3.0)), "1/(36*sqrt(3))")
@@ -757,7 +754,7 @@ def _accessible_case(cls: Classified, mc: McConfig) -> tuple[int, float, float |
             11.0 * math.pi / 48.0, "11*pi/48")
     if tag == TAG_GENERAL_ONE:
         comps = np.abs(g[roles["party"]])
-        zero = comps <= AXIS_TOL
+        zero = comps == 0
         if zero.any():
             nz = comps[~zero]
             if not caseiii_3d_feasible(nz[0], nz[1]):

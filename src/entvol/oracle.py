@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InconsistentInput
-from .schmidt import SchmidtVector, sorted_region_volume
+from .schmidt import EPS_NORM, SchmidtVector, sorted_region_volume
 
 _CHUNK = 1 << 19
 
@@ -93,8 +93,8 @@ def _mc_majorization(lam: SchmidtVector, cfg: McConfig, accessible: bool) -> McR
     def predicate(pts: np.ndarray) -> np.ndarray:
         partial = np.cumsum(pts[:, : d - 1], axis=1)
         if accessible:
-            return np.all(partial >= E - 1e-12, axis=1)
-        return np.all(partial <= E + 1e-12, axis=1)
+            return np.all(partial >= E - EPS_NORM, axis=1)
+        return np.all(partial <= E + EPS_NORM, axis=1)
 
     return _hit_fraction(lambda n, idx: sample_sorted_simplex(d, n, cfg.seed, idx),
                          predicate, sorted_region_volume(d), cfg)

@@ -138,6 +138,67 @@ def test_fourqubit_witness(capsys):
     assert sum(payload["probabilities"]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_fourqubit_stray_component_is_zero(capsys):
+    # a stray 1e-11 on the second party's z is zero to every command
+    src, dst = "0,0.3,0;0.1,0,1e-11;0,0,0;0,0,0", "0,0.42,0;0.33,0,0;0,0,0;0,0,0"
+    code, out, _ = run(capsys, "fourqubit", "classify", "--gammas", src, "--json")
+    assert code == 0
+    assert json.loads(out)["standard_gammas"][1] == [0.1, 0.0, 0.0]
+    code, out, _ = run(capsys, "fourqubit", "convert", "--from-gammas", src,
+                       "--to-gammas", dst)
+    assert (code, out) == (0, "convertible via axis_rectangle\n")
+    code, out, _ = run(capsys, "fourqubit", "witness", "--from-gammas", src,
+                       "--to-gammas", dst, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["row"] == "axis_rectangle"
+    assert payload["completeness_residual"] <= 1e-12
+    assert payload["eta_residual"] <= 1e-10
+    assert payload["outcome_mismatch"] <= 1e-9
+
+
+def test_fourqubit_pair_from_state_files(tmp_path, capsys):
+    # --from-state/--to-state give what --from-gammas/--to-gammas give
+    from entvol.cli import _default_seed_params, _parse_gammas
+    from entvol.fourqubit import FourQubitForm
+    src, dst = "0,0.3,0;0.1,0,0;0,0,0;0,0,0", "0,0.42,0;0.33,0,0;0,0,0;0,0,0"
+    paths = []
+    for name, text in (("from.json", src), ("to.json", dst)):
+        state = FourQubitForm(_default_seed_params(), _parse_gammas(text))
+        path = tmp_path / name
+        path.write_text(json.dumps(state.to_json()), encoding="utf-8")
+        paths.append(str(path))
+    for cmd in ("convert", "witness"):
+        by_gammas = run(capsys, "fourqubit", cmd, "--from-gammas", src, "--to-gammas", dst)
+        by_files = run(capsys, "fourqubit", cmd, "--from-state", paths[0],
+                       "--to-state", paths[1])
+        assert by_files == by_gammas and by_files[0] == 0, cmd
+        assert "axis_rectangle" in by_files[1]
+
+
+def test_fourqubit_classify_near_miss_note(capsys):
+    gammas = "0.2,1e-8,0;0.1,1e-8,0;0.05,0,0;0,0,0"
+    code, out, _ = run(capsys, "fourqubit", "classify", "--gammas", gammas, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["tag"] == "isolated"
+    assert payload["diagnostic"].startswith("nearly axis-aligned")
+    code, out, _ = run(capsys, "fourqubit", "classify", "--gammas", gammas)
+    assert code == 0
+    assert out.splitlines() == ["class: isolated", f"note: {payload['diagnostic']}"]
+
+
+def test_fourqubit_measures_text_line(capsys):
+    gammas = "0.2,0,0;0,0,0;0,0,0;0,0,0"
+    _, out, _ = run(capsys, "fourqubit", "measures", "--gammas", gammas, "--json")
+    p = json.loads(out)
+    code, out, _ = run(capsys, "fourqubit", "measures", "--gammas", gammas)
+    assert code == 0
+    assert out == (f"class axis_only: E_s = {p['E_s']:.12g} (V_s = {p['V_s']:.12g}, dim 1), "
+                   f"E_a = {p['E_a']:.12g} (V_a = {p['V_a']:.12g}, dim 3)\n")
+    assert (p["V_s_dim"], p["V_a_dim"]) == (1, 3)
+
+
 def test_fourqubit_state_json_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "fourqubit", "measures",
                        "--gammas", "0.23,0.13,0.15;0,0,0;0,0,0;0,0,0",
@@ -180,6 +241,20 @@ def test_oracle_subcommands(capsys):
                        "--samples", "50000", "--seed", "3")
     payload = json.loads(out)
     assert payload["estimate"] == pytest.approx(math.pi / 12, abs=5 * payload["stderr"])
+
+
+def test_oracle_region_reachable_matches_measures(capsys):
+    # the reachable region's estimate is the accessible volume the measures print
+    gammas = "0.05,0.04,0.03;0,0,0;0,0,0;0,0,0"
+    code, out, _ = run(capsys, "oracle", "region", "--region", "reachable",
+                       "--gammas", gammas, "--samples", "100000", "--seed", "3")
+    assert code == 0
+    region = json.loads(out)
+    code, out, _ = run(capsys, "fourqubit", "measures", "--gammas", gammas,
+                       "--mc-samples", "100000", "--mc-seed", "3", "--json")
+    assert code == 0
+    assert region["estimate"] == json.loads(out)["V_a"] == 0.144625
+    assert (region["samples"], region["seed"]) == (100000, 3)
 
 
 def test_mc_seed_env_default(capsys, monkeypatch):

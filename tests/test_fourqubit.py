@@ -30,7 +30,6 @@ from entvol.fourqubit import (
     entanglement_4q,
     eta_solve,
     kron4,
-    pauli_on,
     random_seed_params,
     source_volume_4q,
     standard_form,
