@@ -59,7 +59,7 @@ b = F([[0.15, 0.3, 0.15], [0.3, 0, 0], [0.1, 0, 0], Z])
 print("  forward: ", can_convert(a, b).row)
 print("  backward:", can_convert(b, a).convertible)
 
-print("\n=== An explicit protocol, verified three ways ===")
+print("\n=== An explicit protocol: completeness enforced, two residuals reported ===")
 initial = F([[0, 0.3, 0], [0.1, 0, 0], Z, Z])
 final = F([[0, 0.42, 0], [0.33, 0, 0], Z, Z])
 wit = povm_witness(initial, final)

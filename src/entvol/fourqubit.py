@@ -20,7 +20,8 @@ character vector eta satisfies ``eta (.) zeta = gamma`` componentwise; eta
 ranges over the tetrahedron with vertices (1,1,1), (1,-1,-1), (-1,1,-1),
 (-1,-1,1).  Each conversion row's protocol is a sequence of one-party Pauli
 twirls, which the row's condition returns beside its verdict;
-:func:`povm_witness` composes them into explicit local POVMs and verifies them.
+:func:`povm_witness` composes them into explicit local POVMs, enforces their
+completeness and reports how closely they reach the target.
 """
 
 from __future__ import annotations
@@ -46,9 +47,13 @@ from .bipartite import MeasureReport
 AXIS_TOL = 1e-10
 #: Strict norm bound keeping every G positive definite in double precision.
 GAMMA_NORM_MAX = 0.5 - 1e-12
-#: Agreement of two values in the convertibility decision: gamma components
-#: of the two states, bounds of the tetrahedron and of the growth of a
-#: component, and squared seed parameters.  It never decides support.
+#: The one acceptance rule of every conversion row: its twirl probabilities,
+#: clamped into [0, 1], must reproduce the initial gammas from the target's,
+#: max |gamma - eta(probs) (.) zeta| <= CONVERT_TOL (no twirl for the
+#: identity row).  The witness twirls start from eta(probs) (.) zeta, so they
+#: resolve the identity to rounding, and its eta residual stays within
+#: CONVERT_TOL plus rounding.  The same slack matches squared seed parameters
+#: and bounds the tetrahedron in ``eta_solve``.  It never decides support.
 CONVERT_TOL = 1e-9
 #: Least separation of the squared parameters that ``random_seed_params`` draws.
 SEED_MIN_GAP = 0.03
@@ -463,38 +468,41 @@ class Verdict:
 
 
 # A row's protocol is a list of steps, each a Pauli twirl of one party:
-# (party, gamma_old, gamma_new, probs), probs being the probabilities of the
-# four Pauli patterns (identity, sigma_x, sigma_y, sigma_z).
+# (party, gamma_new, probs), probs being the probabilities of the four Pauli
+# patterns (identity, sigma_x, sigma_y, sigma_z).  The twirl starts from the
+# gamma _probs_to_eta(probs) * gamma_new, so it is complete by construction,
+# and _reproduces decides whether that start is the initial state.
 
-def _two_patterns(p: float, c: int) -> np.ndarray:
-    """The identity with probability p, sigma_c with 1 - p."""
+def _scaled_step(p: int, g_old: np.ndarray, g_new: np.ndarray, c: int):
+    """The twirl of party p between the identity and sigma_c (c = 0, 1, 2 for
+    x, y, z): it keeps component c and scales the other two by the
+    least-squares t of g_old onto g_new, clamped to [0, 1]."""
+    off = [u for u in range(3) if u != c]
+    t = float(g_old[off] @ g_new[off]) / float(g_new[off] @ g_new[off])
     probs = np.zeros(4)
-    probs[0] = p
-    probs[c] = 1.0 - p
-    return probs
+    probs[0] = (1.0 + min(max(t, 0.0), 1.0)) / 2.0
+    probs[c + 1] = 1.0 - probs[0]
+    return p, g_new, probs
+
+
+def _reproduces(gi: np.ndarray, zf: np.ndarray, steps) -> bool:
+    """The one acceptance rule of every row: the twirl characters of the steps
+    carry zf back onto gi, on every party, to CONVERT_TOL."""
+    eta = 1.0
+    for _, _, probs in steps:
+        eta = eta * _probs_to_eta(probs)
+    return float(np.max(np.abs(gi - eta * zf))) <= CONVERT_TOL
 
 
 def _scaling_condition(gi: np.ndarray, zf: np.ndarray):
     """Axis components all frozen; one party's transverse pair scales up."""
     for w in range(3):
-        if np.max(np.abs(gi[:, w] - zf[:, w])) > CONVERT_TOL:
-            continue
         off = [u for u in range(3) if u != w]
-        diff_parties = [p for p in range(4) if gi[p, off].any() or zf[p, off].any()]
-        if len(diff_parties) > 1:
-            continue
-        if not diff_parties:
-            continue  # both axis-aligned; equality was handled earlier
-        p = diff_parties[0]
-        t_i = gi[p, off]
-        t_f = zf[p, off]
-        if not t_f.any():
-            continue  # final transverse vanishes; nothing to scale toward
-        s = float(t_i @ t_f) / float(t_f @ t_f)
-        if -CONVERT_TOL <= s <= 1.0 + CONVERT_TOL and np.max(np.abs(t_i - s * t_f)) <= CONVERT_TOL:
-            s = min(max(s, 0.0), 1.0)
-            return ROW_SCALING, [(p, gi[p], zf[p], _two_patterns((1.0 + s) / 2.0, w + 1))]
-    return None
+        moving = np.flatnonzero(gi[:, off].any(axis=1) | zf[:, off].any(axis=1))
+        # one party off the axis, whose final transverse pair is not zero
+        if len(moving) == 1 and zf[moving[0], off].any():
+            p = int(moving[0])
+            yield ROW_SCALING, [_scaled_step(p, gi[p], zf[p], w)]
 
 
 def _active_parties(g: np.ndarray) -> list[int]:
@@ -506,51 +514,40 @@ def _rectangle_condition(gi, zf):
     ai = _active_parties(gi)
     af = _active_parties(zf)
     if len(af) != 2 or set(ai) - set(af):
-        return None
+        return
     pairs = []
     for p in af:
         comps_f = np.flatnonzero(zf[p])
-        comps_i = np.flatnonzero(gi[p])
-        if len(comps_f) != 1 or not set(comps_i) <= set(comps_f):
-            return None
-        u = int(comps_f[0])
-        if zf[p, u] < 0 or gi[p, u] < 0 or gi[p, u] > zf[p, u] + CONVERT_TOL:
-            return None
-        pairs.append((p, u))
+        if len(comps_f) != 1 or not set(np.flatnonzero(gi[p])) <= set(comps_f):
+            return
+        pairs.append((p, int(comps_f[0])))
     (p1, u), (p2, v) = pairs
-    if u == v:
-        return None
-    # each twirl's sigma lies along the other party's axis, leaving that party in place
-    return ROW_RECTANGLE, [
-        (p1, gi[p1], zf[p1], _two_patterns((1.0 + gi[p1, u] / zf[p1, u]) / 2.0, v + 1)),
-        (p2, gi[p2], zf[p2], _two_patterns((1.0 + gi[p2, v] / zf[p2, v]) / 2.0, u + 1)),
-    ]
+    if u != v:
+        # each twirl's sigma lies along the other party's axis, leaving that party in place
+        yield ROW_RECTANGLE, [_scaled_step(p1, gi[p1], zf[p1], v),
+                              _scaled_step(p2, gi[p2], zf[p2], u)]
 
 
 def _single_party_condition(gi, zf):
-    ai = _active_parties(gi)
-    af = _active_parties(zf)
-    active = set(ai) | set(af)
+    active = set(_active_parties(gi)) | set(_active_parties(zf))
     if len(active) != 1:
-        return None
+        return
     p = active.pop()
     eta = eta_solve(gi[p], zf[p])
     if eta is None:
-        return None
-    nz_f = np.count_nonzero(zf[p])
+        return
     probs = np.clip(_eta_to_probs(eta), 0.0, None)
     probs /= probs.sum()
-    return {3: ROW_GENERAL, 2: ROW_PLANE, 1: ROW_AXIS}[nz_f], [(p, gi[p], zf[p], probs)]
+    row = {3: ROW_GENERAL, 2: ROW_PLANE, 1: ROW_AXIS}[np.count_nonzero(zf[p])]
+    yield row, [(p, zf[p], probs)]
 
 
 def _axis_then_transverse_condition(gi, zf):
     """From the seed or a single axis party into an axis-plus-second-party form."""
     ai = _active_parties(gi)
-    if len(ai) > 1:
-        return None
     af = _active_parties(zf)
-    if len(af) != 2:
-        return None
+    if len(ai) > 1 or len(af) != 2:
+        return
     # final: one party on a single axis w, the second purely transverse to w
     for axis_party in af:
         comps = np.flatnonzero(zf[axis_party])
@@ -558,30 +555,19 @@ def _axis_then_transverse_condition(gi, zf):
             continue
         w = int(comps[0])
         other = next(q for q in af if q != axis_party)
-        if zf[other, w] != 0:
+        # from the seed every sign of the axis value reproduces; take the positive one
+        if zf[other, w] != 0 or zf[axis_party, w] < 0:
             continue
-        if zf[axis_party, w] < 0:
+        if ai and (ai[0] != axis_party or np.flatnonzero(gi[axis_party]).tolist() != [w]):
             continue
-        if ai:
-            p = ai[0]
-            comps_i = np.flatnonzero(gi[p])
-            if p != axis_party or len(comps_i) != 1 or int(comps_i[0]) != w:
-                continue
-            if gi[p, w] > zf[axis_party, w] + CONVERT_TOL:
-                continue
-        steps = []
-        if abs(gi[axis_party, w] - zf[axis_party, w]) > CONVERT_TOL:
-            c = next(u for u in range(3) if u != w)
-            ratio = gi[axis_party, w] / zf[axis_party, w]
-            steps.append((axis_party, gi[axis_party], zf[axis_party],
-                          _two_patterns((1.0 + ratio) / 2.0, c + 1)))
-        steps.append((other, np.zeros(3), zf[other], _two_patterns(0.5, w + 1)))
-        return ROW_AXIS_THEN_T, steps
-    return None
+        c = next(u for u in range(3) if u != w)
+        yield ROW_AXIS_THEN_T, [_scaled_step(axis_party, gi[axis_party], zf[axis_party], c),
+                                _scaled_step(other, gi[other], zf[other], w)]
 
 
 #: The rows in the order they are tried: final tags, initial tags (None for
-#: any) and the condition, which returns (row, steps) or None.
+#: any) and the condition, which yields candidate (row, steps); the first
+#: candidate that passes :func:`_reproduces` is the verdict.
 _ROW_CONDITIONS = (
     ((TAG_GENERAL_PLUS_AXES, TAG_AXIS_TRANSVERSE), None, _scaling_condition),
     ((TAG_TWO_AXES,), (TAG_TWO_AXES,), _rectangle_condition),
@@ -604,7 +590,7 @@ def _decide(initial: FourQubitForm, final: FourQubitForm):
 
     for signs in KLEIN_SIGNS:
         zf = cf.gammas * signs
-        if np.max(np.abs(gi - zf)) <= CONVERT_TOL:
+        if _reproduces(gi, zf, []):
             return Verdict(True, ROW_IDENTITY), (gi, zf, [])
 
     if ci.tag == TAG_ISOLATED or cf.tag == TAG_ISOLATED:
@@ -616,10 +602,9 @@ def _decide(initial: FourQubitForm, final: FourQubitForm):
         zf = cf.gammas * signs
         for finals, initials, condition in _ROW_CONDITIONS:
             if cf.tag in finals and (initials is None or ci.tag in initials):
-                match = condition(gi, zf)
-                if match is not None:
-                    row, steps = match
-                    return Verdict(True, row), (gi, zf, steps)
+                for row, steps in condition(gi, zf):
+                    if _reproduces(gi, zf, steps):
+                        return Verdict(True, row), (gi, zf, steps)
     return Verdict(False, detail="no transformation row applies"), None
 
 
@@ -814,12 +799,13 @@ class PovmWitness:
     outcome_mismatch: float
 
 
-def _twirl(party: int, gamma_old: np.ndarray, gamma_new: np.ndarray, probs):
+def _twirl(party: int, gamma_new: np.ndarray, probs):
     """Outcomes ``(ops, k)`` of a Pauli twirl of one party: sqrt(p_k) h sigma_k
     g^-1 on ``party`` and sigma_k on the others, for each pattern k with
-    p_k > 1e-14, where g and h are the square roots of the old and new G."""
+    p_k > 1e-14, where h is the square root of the new G and g that of the G
+    whose gamma is eta(probs) (.) gamma_new, so sum_k M_k^dag M_k = 1."""
     h = sqrt_g(gamma_new)
-    ginv = np.linalg.inv(sqrt_g(gamma_old))
+    ginv = np.linalg.inv(sqrt_g(_probs_to_eta(probs) * gamma_new))
     outcomes = []
     for k in range(4):
         if probs[k] <= 1e-14:
@@ -831,13 +817,15 @@ def _twirl(party: int, gamma_old: np.ndarray, gamma_new: np.ndarray, probs):
 
 
 def povm_witness(initial: FourQubitForm, final: FourQubitForm) -> PovmWitness:
-    """Construct and verify the local POVM implementing initial -> final.
+    """Construct the local POVM implementing initial -> final and measure it.
 
-    The witness is checked three ways before being returned: the outcome
-    operators must resolve the identity to 1e-12, the induced twirl character
-    must reproduce every party's gamma from the target's zeta, and each
-    outcome applied to the initial state vector must be collinear with the
-    target state vector (same LU class representative).
+    One check is enforced: the outcome operators must resolve the identity to
+    1e-12, or :class:`CompletenessViolation` is raised.  Two are only
+    reported: the eta residual, max |gamma - eta (.) zeta| over the parties
+    with eta the twirl character of the outcome probabilities on the initial
+    state vector, which the acceptance of :func:`can_convert` bounds by
+    CONVERT_TOL plus rounding; and the outcome mismatch, the largest
+    1 - |<target|outcome>| over the normalized outcomes of the initial state.
     """
     verdict, basis = _decide(initial, final)
     if not verdict:

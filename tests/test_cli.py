@@ -126,11 +126,15 @@ def test_fourqubit_classify_and_convert(capsys):
     assert payload["convertible"] is True and payload["row"] == "transverse_scaling"
 
 
-def test_fourqubit_witness(capsys):
+@pytest.mark.parametrize("dst", [
+    "0,0.42,0;0.33,0,0;0,0,0;0,0,0",
+    # the first axis value 5e-10 below the initial one: within CONVERT_TOL
+    "0,0.2999999995,0;0.2,0,0;0,0,0;0,0,0",
+], ids=["readme", "rectangle_gap"])
+def test_fourqubit_witness(capsys, dst):
     code, out, _ = run(capsys, "fourqubit", "witness",
                        "--from-gammas", "0,0.3,0;0.1,0,0;0,0,0;0,0,0",
-                       "--to-gammas", "0,0.42,0;0.33,0,0;0,0,0;0,0,0",
-                       "--json")
+                       "--to-gammas", dst, "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["completeness_residual"] <= 1e-12

@@ -8,6 +8,7 @@ import pytest
 from entvol import errors
 from entvol.fourqubit import (
     AXIS_TOL,
+    CONVERT_TOL,
     PAULI,
     can_convert,
     eta_solve,
@@ -189,3 +190,59 @@ def test_stray_components_decided_once(name):
         # through and the eta residual reports
         one_sided = len(members) == 1 and mag > AXIS_TOL
         assert wit.eta_residual <= (mag if one_sided else 1e-10), where
+
+
+def _band_pairs():
+    """One pair per row at the boundary of its comparisons, where two compared
+    values coincide, plus the two pairs whose 5e-10 gap a row once accepted
+    without a complete witness."""
+    zeta = np.array([0.3, 0.25, -0.2])
+    eta = np.array([0.6, 0.2, -0.2])  # on a face of the tetrahedron: p_z = 0
+    return {
+        "identity": ([[0, 0, 0.3], Z3, Z3, Z3], [[0, 0, 0.3], Z3, Z3, Z3]),
+        "identity_gap": ([[0, 0, 0.3], Z3, Z3, Z3], [[0, 0, 0.3 - 5e-10], Z3, Z3, Z3]),
+        "transverse_scaling": ([[0.2, 0.1, 0.05], [0.3, 0, 0], Z3, Z3],
+                               [[0.2, 0.2, 0.1], [0.3, 0, 0], Z3, Z3]),
+        "axis_rectangle": ([[0, 0.3, 0], [0.1, 0, 0], Z3, Z3],
+                           [[0, 0.3, 0], [0.2, 0, 0], Z3, Z3]),
+        "axis_rectangle_gap": ([[0, 0.3, 0], [0.1, 0, 0], Z3, Z3],
+                               [[0, 0.3 - 5e-10, 0], [0.2, 0, 0], Z3, Z3]),
+        "single_party_general": ([eta * zeta, Z3, Z3, Z3], [zeta, Z3, Z3, Z3]),
+        "single_party_plane": ([[0, 0.3, 0.1], Z3, Z3, Z3], [[0, 0.3, 0.2], Z3, Z3, Z3]),
+        "axis_then_transverse": ([[0.2, 0, 0], Z3, Z3, Z3],
+                                 [[0.2, 0, 0], [0, 0.1, 0.15], Z3, Z3]),
+    }
+
+
+_BAND_PAIRS = _band_pairs()
+
+
+@pytest.mark.parametrize("name", sorted(_BAND_PAIRS))
+def test_band_verdict_has_witness(name):
+    # Each nonzero component of either state, moved by up to twice
+    # CONVERT_TOL: can_convert says yes exactly when povm_witness returns, and
+    # every witness meets the bounds its acceptance promises.
+    rows = [np.array(r, dtype=float) for r in _BAND_PAIRS[name]]
+    outcomes = set()
+    for member, party, comp in itertools.product(range(2), range(4), range(3)):
+        if rows[member][party, comp] == 0:
+            continue
+        for move in (1e-12, 5e-10, 1e-9, 2e-9, -1e-12, -5e-10, -1e-9, -2e-9):
+            moved = [r.copy() for r in rows]
+            moved[member][party, comp] += move
+            x, y = F(moved[0]), F(moved[1])
+            case = (member, party, comp, move)
+            verdict = can_convert(x, y)
+            try:
+                wit = povm_witness(x, y)
+            except errors.NotConvertible:
+                assert not verdict, case
+                outcomes.add(False)
+                continue
+            assert verdict and verdict.row == wit.row, case
+            assert wit.completeness_residual <= 1e-12, case
+            assert wit.outcome_mismatch <= 1e-9, case
+            assert wit.eta_residual <= CONVERT_TOL + 1e-12, case
+            outcomes.add(True)
+    # the moves cross the band: some verdicts are yes and some are no
+    assert outcomes == {True, False}
