@@ -5,10 +5,10 @@ V-input) and the test suite, where they are the independent oracles of the
 bipartite accessible engine; the measures of the package use only the data
 types and ``EPS_GEOM`` from this module.  The polytopes handled here
 are small (at most a few dozen inequalities, a few hundred vertices), so
-vertex enumeration runs the textbook route: an LP precheck for emptiness and
-boundedness, then every k-subset of tight constraints is solved and the
-feasible solutions kept.  Volumes come from two independent algorithms that
-are cross-checked in the test suite:
+vertex enumeration runs the textbook route: every k-subset of tight
+constraints is solved and the feasible solutions kept, and the same subsets
+decide emptiness and boundedness, without an LP.  Volumes come from two
+independent algorithms that are cross-checked in the test suite:
 
 * ``volume_triangulation`` returns the volume qhull computes for the convex
   hull of the vertices, from the same facets it builds for the hull.
@@ -24,8 +24,9 @@ are cross-checked in the test suite:
 
 All geometry is double precision; volumes of lower-dimensional polytopes are
 measured inside their own affine hull and reported with that dimension.
-scipy (``linprog`` for the precheck, qhull for the hull volume) is imported
-inside the two functions that use it, so ``import entvol`` does not load it.
+scipy (qhull, for the hull volume) is imported inside
+``volume_triangulation``, so ``import entvol`` and vertex enumeration do not
+load it.
 """
 
 from __future__ import annotations
@@ -118,53 +119,52 @@ class VertexSet:
         return VertexSet(np.asarray(payload["vertices"], float))
 
 
-def _check_bounded_feasible(H: HalfspaceSystem) -> None:
-    """LP precheck: raise Infeasible / Unbounded before enumerating."""
-    from scipy.optimize import linprog  # scipy loads only for raw H-input
-
-    A_ub = -H.A
-    b_ub = H.b
-    bounds = [(None, None)] * H.k
-    for j in range(H.k):
-        for sign in (1.0, -1.0):
-            c = np.zeros(H.k)
-            c[j] = sign
-            res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-            if res.status == 2:
-                raise Infeasible("no point satisfies all constraints")
-            if res.status == 3:
-                raise Unbounded("a feasible ray exists")
-            if res.status != 0:
-                raise InconsistentInput(f"LP solver failure: {res.message}")
-
-
 def enumerate_vertices(H: HalfspaceSystem) -> VertexSet:
     """All vertices of the polytope {A x + b >= 0} by k-subset intersection.
 
-    Cost is O(C(m, k) k^3), fine for the small systems this package builds.
-    Each kept vertex records its full tight set (all rows satisfied with
-    equality, not just the defining subset).
+    The same subsets decide emptiness and boundedness, without an LP:
+
+    * A of rank below k (singular values above ``EPS_GEOM``): null(A) is
+      pinned to 0 (rows +-n, offset 0).  A vertex then means the set holds a
+      line (``Unbounded``), none that it is empty (``Infeasible``).
+    * A of rank k: no vertex means ``Infeasible``.  The set is bounded
+      unless its recession cone {A r >= 0} has an extreme ray (Schrijver
+      1986): a null direction r of a (k-1)-row subset of rank k-1 with
+      A r >= -EPS_GEOM at max |r_i| = 1.  These are the columns of the
+      inverses of the nonsingular k-subsets (|det| >= 1e-13): column i is
+      null on the subset's other rows and positive on its row i.
+
+    Cost is O(C(m, k) k^3), all subsets solved stacked, fine for the small
+    systems this package builds.  Each kept vertex records its full tight
+    set (all rows satisfied with equality, not just the defining subset).
     """
     m, k = H.m, H.k
     if m < k:
         raise InconsistentInput(f"need at least k={k} rows, got {m}")
-    _check_bounded_feasible(H)
+    _, s, vt = np.linalg.svd(H.A)
+    null = vt[np.count_nonzero(s > EPS_GEOM):]
+    A = np.vstack([H.A, null, -null])
+    b = np.concatenate([H.b, np.zeros(2 * len(null))])
 
-    verts: list[np.ndarray] = []
-    for rows in itertools.combinations(range(m), k):
-        A_sub = H.A[list(rows)]
-        if abs(np.linalg.det(A_sub)) < 1e-13:
-            continue
-        x = np.linalg.solve(A_sub, -H.b[list(rows)])
-        if not np.all(H.A @ x + H.b >= -EPS_GEOM):
-            continue
-        if any(np.linalg.norm(x - v) <= EPS_GEOM for v in verts):
-            continue
-        verts.append(x)
+    rows = np.array(list(itertools.combinations(range(len(A)), k)), dtype=int, ndmin=2)
+    A_sub = A[rows]
+    solvable = np.abs(np.linalg.det(A_sub)) >= 1e-13
+    A_sub, rows = A_sub[solvable], rows[solvable]
+    X = np.linalg.solve(A_sub, -b[rows, None])[..., 0]
+    X = X[np.all(X @ A.T + b >= -EPS_GEOM, axis=1)]
+    keep: list[int] = []
+    for i, x in enumerate(X):
+        if not keep or np.linalg.norm(X[keep] - x, axis=1).min() > EPS_GEOM:
+            keep.append(i)
+    if not keep:
+        raise Infeasible("no point satisfies all constraints")
 
-    if not verts:
-        raise Infeasible("feasible but no vertex found; system is degenerate")
-    V = np.array(verts)
+    # max |r_i| = 1 does not underflow as |r| = 1 can; R^0 (k = 0) has no r
+    R = np.swapaxes(np.linalg.inv(A_sub), 1, 2).reshape(len(A_sub) * k, k)
+    Ar = R @ H.A.T / np.abs(R).max(axis=1, keepdims=True, initial=0.0)
+    if len(null) or np.any(np.all(Ar >= -EPS_GEOM, axis=1)):
+        raise Unbounded("a feasible ray exists")
+    V = X[keep]
     slack = V @ H.A.T + H.b  # (n, m)
     tight = tuple(frozenset(np.flatnonzero(np.abs(row) <= EPS_GEOM)) for row in slack)
     return VertexSet(V, tight)
@@ -197,23 +197,20 @@ def vertex_adjacency(H: HalfspaceSystem, V: VertexSet) -> list[list[int]]:
 
 
 def affine_dimension(vertices: np.ndarray) -> int:
-    """Dimension of the affine hull (rank of differences to the first vertex)."""
-    V = np.atleast_2d(np.asarray(vertices, float))
-    if V.shape[0] <= 1:
-        return 0
-    diffs = V[1:] - V[0]
-    s = np.linalg.svd(diffs, compute_uv=False)
-    return int(np.sum(s > EPS_GEOM))
+    """Dimension of the affine hull: the column count of ``affine_basis``."""
+    return affine_basis(vertices)[0].shape[1]
 
 
 def affine_basis(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the affine hull and its base point (the centroid)."""
+    """Orthonormal basis of the affine hull and its base point (the centroid).
+
+    The one rank decision of the hull: the singular values of the centred
+    points above ``EPS_GEOM``.
+    """
     V = np.atleast_2d(np.asarray(vertices, float))
     center = V.mean(axis=0)
-    diffs = V - center
-    _, s, vt = np.linalg.svd(diffs, full_matrices=False)
-    rank = int(np.sum(s > EPS_GEOM))
-    return vt[:rank].T, center  # columns are basis vectors
+    _, s, vt = np.linalg.svd(V - center, full_matrices=False)
+    return vt[s > EPS_GEOM].T, center  # columns are basis vectors
 
 
 def is_simple(V: VertexSet, adjacency: list[list[int]]) -> bool:
@@ -230,25 +227,26 @@ def volume_triangulation(V: VertexSet | np.ndarray) -> tuple[float, int]:
     dimension, not an exception, so measure-zero sets stay representable).
     The points are sorted lexicographically first, so that the centroid, the
     basis and qhull's hull, and with them the volume, do not depend on the
-    order they come in.
+    order they come in.  A hull qhull cannot build, joggled or not (its
+    coordinates overflow), raises ``InconsistentInput``.
     """
     from scipy.spatial import ConvexHull, QhullError  # scipy loads only when called
 
     pts = V.vertices if isinstance(V, VertexSet) else np.atleast_2d(np.asarray(V, float))
     pts = pts[np.lexsort(pts.T[::-1])]
-    dim = affine_dimension(pts)
-    if dim == 0:
-        return 0.0, 0
     basis, center = affine_basis(pts)
     coords = (pts - center) @ basis  # (n, dim)
+    dim = coords.shape[1]
+    if dim == 0:
+        return 0.0, 0
     if dim == 1:
-        xs = coords[:, 0]
-        return float(xs.max() - xs.min()), 1
-    try:
-        hull = ConvexHull(coords)
-    except QhullError:
-        hull = ConvexHull(coords, qhull_options="QJ")
-    return float(hull.volume), dim
+        return float(np.ptp(coords)), 1
+    for options in (None, "QJ"):
+        try:
+            return float(ConvexHull(coords, qhull_options=options).volume), dim
+        except QhullError as exc:
+            error = exc
+    raise InconsistentInput("qhull cannot build the hull of these vertices") from error
 
 
 def _xi_sequence(k: int, seed: int):
@@ -281,11 +279,11 @@ def brion_volume(
         if no valid direction is found within ``_XI_RETRIES`` draws.
     """
     pts = V.vertices if isinstance(V, VertexSet) else np.atleast_2d(np.asarray(V, float))
-    k = affine_dimension(pts)
-    if k == 0:
-        return 0.0
     basis, center = affine_basis(pts)
     coords = (pts - center) @ basis
+    k = coords.shape[1]
+    if k == 0:
+        return 0.0
     n = coords.shape[0]
     if len(adjacency) != n:
         raise InconsistentInput("adjacency does not match the vertex count")

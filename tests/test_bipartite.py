@@ -191,8 +191,8 @@ def test_accessible_rank_cap():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_accessible_engine_matches_enumeration_and_hull(d):
-    # the direct vertices and the face recursion against the LP-checked
-    # subset enumeration and qhull's hull volume, for every target rank k
+    # the direct vertices and the face recursion against the subset
+    # enumeration and qhull's hull volume, for every target rank k
     rng = np.random.default_rng(60 + d)
     for lam in _source_test_vectors(d, rng) + [maximally_entangled(d), separable(d)]:
         for k in range(2, d + 1):

@@ -414,19 +414,49 @@ def test_input_failures_exit_cleanly(tmp_path, argv, expected):
 
 
 def test_scipy_stays_unloaded():
-    # scipy serves only raw polytope input; the package and the accessible
-    # measures run without it
+    # scipy serves only qhull's hull volume; the package, the accessible
+    # measures and H-input vertex enumeration run without it
     code = ("import sys\n"
             "import entvol\n"
             "from entvol.cli import main\n"
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(loaded())\n"
             "main(['bipartite', 'accessible', '--schmidt', '0.4,0.3,0.2,0.1', '--json'])\n"
+            "print(loaded())\n"
+            "main(['polytope', 'vertices', '--input', '-', '--json'])\n"
             "print(loaded())\n")
+    square = {"A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": [0, 0, 1, 1]}
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          input=json.dumps(square), env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    after_import, payload, after_call = proc.stdout.strip().splitlines()
-    assert after_import == after_call == "[]"
+    after_import, payload, after_call, vertices, after_vertices = proc.stdout.strip().splitlines()
+    assert after_import == after_call == after_vertices == "[]"
     assert json.loads(payload)["vertices"] == 8
+    assert json.loads(vertices)["count"] == 4
+
+
+#: Vertex sets whose hull rank once came from two SVDs that disagreed
+#: (near_point, near_segment), and one whose spread overflows qhull; the
+#: expected exit codes and, on exit 0, the hull dimension.
+EDGE_VERTEX_SETS = {
+    "near_point": ([[0, 0], [1.3e-9, 0]], (0,), 0),
+    "near_segment": ([[0, 0, 0], [1.3e-9, 0, 0], [0, 1, 0]], (0,), 1),
+    "overflow": ([[1e308, 0], [-1e308, 0], [0, 1]], (0, 2), None),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_VERTEX_SETS)
+def test_edge_vertex_sets_exit_cleanly(name):
+    vertices, codes, dimension = EDGE_VERTEX_SETS[name]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "entvol.cli", "polytope", "volume",
+                           "--input", "-", "--json"], input=json.dumps({"vertices": vertices}),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in codes, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    payload = json.loads(proc.stdout)
+    if proc.returncode == 2:
+        assert payload["error"] == "polytope.InconsistentInput"
+    elif dimension is not None:
+        assert payload["dimension"] == dimension

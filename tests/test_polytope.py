@@ -107,6 +107,48 @@ def test_infeasible_detected():
         enumerate_vertices(H)
 
 
+#: Feasible unbounded systems (A, b, a feasible point, a ray r with A r >= 0)
+#: on which a 2k-LP precheck through HiGHS reported "infeasible".
+LP_MISREPORTS = [
+    ([[-2, 0, -2], [1, -2, -1], [0, -2, -1], [-1, -1, 0], [-2, 2, 1]], [1, 1, 1, 0, 2],
+     [0.5, -0.5, 0.0], [-1, -1, 1]),
+    ([[-2, 1, 0], [-1, 0, -2], [1, -1, 1], [-1, -1, 0]], [2, 0, 2, 2],
+     [2 / 3, 1 / 3, -5 / 6], [-2, -4, 1]),
+    ([[1, 1, -2], [2, -2, -1], [2, -2, 1], [-1, 2, -2], [0, 2, -1], [1, 0, -1]],
+     [2, 1, 0, 2, 1, 0], [2 / 3, 0.0, -1 / 3], [1, 1, 0]),
+    ([[0, 0, -2, -1], [1, -1, -1, 1], [-2, 0, 2, -2], [0, 2, 0, 0], [-2, -2, 0, -1]],
+     [1, 1, 0, 0, 0], [-0.5, 0.25, -0.25, 0.0], [-3, 0, -1, 2]),
+]
+
+
+@pytest.mark.parametrize("A,b,point,ray", LP_MISREPORTS, ids=range(len(LP_MISREPORTS)))
+def test_unbounded_where_an_lp_said_infeasible(A, b, point, ray):
+    H = HalfspaceSystem(np.array(A, float), np.array(b, float))
+    assert H.contains(point)
+    assert np.all(H.A @ np.array(ray, float) >= 0)
+    with pytest.raises(errors.Unbounded):
+        enumerate_vertices(H)
+
+
+def test_huge_rows_keep_their_square():
+    # the unit square with its x rows scaled by 1e308
+    H = HalfspaceSystem(np.array([[1e308, 0.0], [0.0, 1.0], [-1e308, 0.0], [0.0, -1.0]]),
+                        np.array([0.0, 0.0, 1e308, 1.0]))
+    V = enumerate_vertices(H)
+    assert {tuple(np.round(v, 9)) for v in V.vertices} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    vol, dim = volume_triangulation(V)
+    assert dim == 2 and vol == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rank_deficient_rows_decide_line_or_empty():
+    # A of rank 1 in R^2: the strip 0 <= x <= 1 holds a line, x >= 1 and x <= 0 is empty
+    A = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(errors.Unbounded):
+        enumerate_vertices(HalfspaceSystem(A, np.array([0.0, 1.0])))
+    with pytest.raises(errors.Infeasible):
+        enumerate_vertices(HalfspaceSystem(A, np.array([-1.0, 0.0])))
+
+
 def test_degenerate_point_volume():
     V = VertexSet(np.array([[0.3, 0.7]]))
     vol, dim = volume_triangulation(V)
