@@ -133,6 +133,7 @@ class MeasureReport:
     v_sup: float           # normalization constant used
     entanglement: float    # value in [0, 1]
     k: int                 # family index (k = d for the plain measures)
+    abs_err: float = 0.0   # Monte-Carlo standard error of the volume (0 when exact)
 
 
 def _chamber_volume(lam: tuple[float, ...]) -> float:

@@ -239,6 +239,7 @@ def _cmd_fourqubit_measures(args) -> int:
         "V_s_dim": s_rep.dimension, "V_s_sup": s_rep.v_sup,
         "E_a": a_rep.entanglement, "V_a": a_rep.volume,
         "V_a_dim": a_rep.dimension, "V_a_sup": a_rep.v_sup,
+        "V_a_abs_err": a_rep.abs_err,
     }
     payload.update({f"{key}_symbolic": x.text for key, x in payload.items()
                     if isinstance(x, fourqubit.ClosedForm)})

@@ -626,12 +626,15 @@ def can_convert(initial: FourQubitForm, final: FourQubitForm) -> Verdict:
 
 def _caseiii_predicate(gam: np.ndarray):
     def predicate(pts: np.ndarray) -> np.ndarray:
-        inside = (pts ** 2).sum(axis=1) < 0.25
+        # the tetrahedron test runs only on the points inside the ball
+        x, y, z = pts.T
+        inside = x * x + y * y + z * z < 0.25
+        idx = np.flatnonzero(inside)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = gam / pts
+            r = gam / pts.take(idx, axis=0)
             r = np.where(np.isfinite(r), r, np.inf)
-            ok = _tetrahedron_mask(r)
-        return inside & ok
+        inside[idx] = _tetrahedron_mask(r)
+        return inside
     return predicate
 
 
@@ -772,13 +775,15 @@ def entanglement_4q(
 
     Values are only comparable between states whose volumes share a
     dimension; the report carries both the dimension and the constant used,
-    and an irrational constant is a :class:`ClosedForm`.
+    and an irrational constant is a :class:`ClosedForm`.  The accessible
+    report's ``abs_err`` is the Monte-Carlo standard error of the numeric
+    Case-III volume, and 0.0 for the closed forms.
     """
     s_dim, s_vol, s_sup = _source_case(cls)
-    a_dim, a_vol, _, a_sup = _accessible_case(cls, mc)
+    a_dim, a_vol, a_err, a_sup = _accessible_case(cls, mc)
     return (
         MeasureReport("source", s_vol, s_dim, s_sup, 1.0 - s_vol / s_sup, s_dim),
-        MeasureReport("accessible", a_vol, a_dim, a_sup, a_vol / a_sup, a_dim),
+        MeasureReport("accessible", a_vol, a_dim, a_sup, a_vol / a_sup, a_dim, a_err or 0.0),
     )
 
 

@@ -4,13 +4,19 @@ Sorted Schmidt vectors are sampled uniformly by normalizing exponential
 variates (uniform on the simplex) and sorting; hit fractions against the
 majorization predicate are then scaled by the sorted-region volume.  Sampling
 uses counter-based Philox streams keyed by (seed, chunk index) with a fixed
-chunk length, so results are bit-reproducible however the chunks are mapped
-to workers.
+chunk length.  Each chunk is drawn and tested in blocks of ``_BLOCK`` rows, so
+that the temporaries stay in cache; successive draws continue the chunk's
+stream, so the points do not depend on the block size.  The chunks are spread
+over threads, one per CPU the process may run on (numpy's Philox fill and
+ufuncs release the GIL), and their integer hit counts summed, so estimates
+are bit-identical whatever the block size and the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +26,7 @@ from .errors import InconsistentInput
 from .schmidt import EPS_NORM, SchmidtVector, sorted_region_volume
 
 _CHUNK = 1 << 19
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -49,15 +56,6 @@ class McResult:
         }
 
 
-def _chunks(total: int):
-    start = 0
-    idx = 0
-    while start < total:
-        yield idx, min(_CHUNK, total - start)
-        start += _CHUNK
-        idx += 1
-
-
 def _rng(seed: int, chunk: int) -> np.random.Generator:
     # a seed in [-2^63, 2^64) is one 64-bit key word, negative seeds wrapping
     # to their two's complement; a plain list would pass through float64
@@ -65,22 +63,75 @@ def _rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_sorted_simplex(d: int, n: int, seed: int, chunk: int) -> np.ndarray:
-    """n sorted probability vectors, uniform on the sorted region."""
-    g = _rng(seed, chunk)
+def _sorted_simplex(g: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """The next n sorted probability vectors of g, uniform on the sorted region."""
     x = g.exponential(size=(n, d))
     x /= x.sum(axis=1, keepdims=True)
     x.sort(axis=1)
     return x[:, ::-1]
 
 
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_hits(draw, predicate, seed: int, idx: int, n: int, stop: threading.Event) -> int:
+    """Hits among chunk ``idx``'s n points, drawn and tested ``_BLOCK`` rows
+    at a time; returns early once ``stop`` is set."""
+    g = _rng(seed, idx)
+    hits = 0
+    for start in range(0, n, _BLOCK):
+        if stop.is_set():
+            break
+        pts = draw(g, min(_BLOCK, n - start))
+        hits += int(np.count_nonzero(np.asarray(predicate(pts), dtype=bool)))
+    return hits
+
+
 def _hit_fraction(draw, predicate, scale: float, cfg: McConfig) -> McResult:
     """``scale`` times the fraction of ``cfg.samples`` points that ``predicate``
-    accepts, with its standard error; ``draw(n, chunk)`` gives chunk ``chunk``'s
-    n points."""
-    hits = 0
-    for idx, n in _chunks(cfg.samples):
-        hits += int(np.asarray(predicate(draw(n, idx)), dtype=bool).sum())
+    accepts, with its standard error; ``draw(g, n)`` gives the next n points
+    of generator g.
+
+    One chunk runs inline; more are taken in turn by up to ``_workers()``
+    threads, the calling one included.  The first exception a predicate
+    raises stops the other workers at their next block and is re-raised.
+    """
+    todo = [(idx, min(_CHUNK, cfg.samples - start))
+            for idx, start in enumerate(range(0, cfg.samples, _CHUNK))][::-1]
+    stop = threading.Event()
+    counts: list[int] = []
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                if not todo:
+                    return
+                idx, n = todo.pop()
+            try:
+                counts.append(_chunk_hits(draw, predicate, cfg.seed, idx, n, stop))
+            except BaseException as exc:
+                errors.append(exc)
+                stop.set()
+
+    threads = [threading.Thread(target=work) for _ in range(min(_workers(), len(todo)) - 1)]
+    try:
+        for t in threads:
+            t.start()
+        work()
+        for t in threads:
+            t.join()
+    finally:
+        stop.set()
+    if errors:
+        raise errors[0]
+    hits = sum(counts)
     p = hits / cfg.samples
     se = scale * math.sqrt(max(p * (1.0 - p), 0.0) / cfg.samples)
     return McResult(p * scale, se, cfg.samples, cfg.seed)
@@ -96,7 +147,7 @@ def _mc_majorization(lam: SchmidtVector, cfg: McConfig, accessible: bool) -> McR
             return np.all(partial >= E - EPS_NORM, axis=1)
         return np.all(partial <= E + EPS_NORM, axis=1)
 
-    return _hit_fraction(lambda n, idx: sample_sorted_simplex(d, n, cfg.seed, idx),
+    return _hit_fraction(lambda g, n: _sorted_simplex(g, d, n),
                          predicate, sorted_region_volume(d), cfg)
 
 
@@ -119,11 +170,13 @@ def mc_region_volume(
     """box volume times the hit fraction of a vectorized membership predicate.
 
     ``predicate`` receives an (n, dim) array and must return a boolean array
-    of length n; it is assumed total on the box.
+    (or a list of booleans) of length n; it is assumed total on the box.  It
+    may run in several threads at once, and numpy's ``errstate`` does not
+    reach them: a predicate that divides must set ``np.errstate`` itself.
     """
     lo = np.asarray(box_lo, float)
     hi = np.asarray(box_hi, float)
     if lo.shape != hi.shape or np.any(hi <= lo):
         raise InconsistentInput("invalid bounding box")
-    return _hit_fraction(lambda n, idx: _rng(cfg.seed, idx).uniform(lo, hi, size=(n, lo.size)),
+    return _hit_fraction(lambda g, n: g.uniform(lo, hi, size=(n, lo.size)),
                          predicate, float(np.prod(hi - lo)), cfg)

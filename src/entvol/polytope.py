@@ -84,7 +84,8 @@ class HalfspaceSystem:
 
     @staticmethod
     def from_json(payload: dict) -> "HalfspaceSystem":
-        return HalfspaceSystem(np.asarray(payload["A"], float), np.asarray(payload["b"], float))
+        return _with_coordinates(
+            HalfspaceSystem(np.asarray(payload["A"], float), np.asarray(payload["b"], float)))
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,14 @@ class VertexSet:
 
     @staticmethod
     def from_json(payload: dict) -> "VertexSet":
-        return VertexSet(np.asarray(payload["vertices"], float))
+        return _with_coordinates(VertexSet(np.asarray(payload["vertices"], float)))
+
+
+def _with_coordinates(P):
+    """P itself; raw input in R^0 has nothing to enumerate or measure."""
+    if P.k == 0:
+        raise InconsistentInput("a polytope needs at least one coordinate")
+    return P
 
 
 def enumerate_vertices(H: HalfspaceSystem) -> VertexSet:

@@ -105,6 +105,9 @@ def test_fourqubit_measures_closed_forms(capsys, gammas, tag, closed):
     assert code == 0
     payload = json.loads(out)
     assert payload["class"] == tag
+    # only the numeric Case-III volume carries a standard error
+    numeric = tag == "general_one_party" and payload["V_a_dim"] == 3
+    assert (payload["V_a_abs_err"] > 0.0) == numeric
     symbolic = {key[: -len("_symbolic")]: text for key, text in payload.items()
                 if key.endswith("_symbolic")}
     assert set(symbolic) == closed
@@ -436,22 +439,44 @@ def test_scipy_stays_unloaded():
     assert json.loads(vertices)["count"] == 4
 
 
+def test_measures_start_no_thread_pool():
+    # the Monte-Carlo workers are plain threads: concurrent.futures would pull
+    # in logging, about 10 ms of a cold start
+    code = ("import sys\n"
+            "import entvol\n"
+            "from entvol.cli import main\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "main(['fourqubit', 'measures', '--gammas', '0.05,0.04,0.03;0,0,0;0,0,0;0,0,0',\n"
+            "      '--mc-samples', '1100000', '--json'])\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, payload, after_call = proc.stdout.strip().splitlines()
+    assert after_import == after_call == "False"
+    assert json.loads(payload)["V_a_abs_err"] > 0.0
+
+
 #: Vertex sets whose hull rank once came from two SVDs that disagreed
-#: (near_point, near_segment), and one whose spread overflows qhull; the
-#: expected exit codes and, on exit 0, the hull dimension.
+#: (near_point, near_segment), one whose spread overflows qhull, and input
+#: with no coordinates, which once ended in a lexsort traceback; the expected
+#: exit codes and, on exit 0, the hull dimension.
 EDGE_VERTEX_SETS = {
-    "near_point": ([[0, 0], [1.3e-9, 0]], (0,), 0),
-    "near_segment": ([[0, 0, 0], [1.3e-9, 0, 0], [0, 1, 0]], (0,), 1),
-    "overflow": ([[1e308, 0], [-1e308, 0], [0, 1]], (0, 2), None),
+    "near_point": ({"vertices": [[0, 0], [1.3e-9, 0]]}, (0,), 0),
+    "near_segment": ({"vertices": [[0, 0, 0], [1.3e-9, 0, 0], [0, 1, 0]]}, (0,), 1),
+    "overflow": ({"vertices": [[1e308, 0], [-1e308, 0], [0, 1]]}, (0, 2), None),
+    "zero_column_vertices": ({"vertices": [[]]}, (2,), None),
+    "zero_column_halfspaces": ({"A": [[]], "b": [1]}, (2,), None),
 }
 
 
 @pytest.mark.parametrize("name", EDGE_VERTEX_SETS)
 def test_edge_vertex_sets_exit_cleanly(name):
-    vertices, codes, dimension = EDGE_VERTEX_SETS[name]
+    payload, codes, dimension = EDGE_VERTEX_SETS[name]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "entvol.cli", "polytope", "volume",
-                           "--input", "-", "--json"], input=json.dumps({"vertices": vertices}),
+                           "--input", "-", "--json"], input=json.dumps(payload),
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode in codes, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from entvol import errors
+from entvol import errors, oracle
 from entvol.bipartite import accessible_volume, source_volume
+from entvol.fourqubit import caseiii_accessible_mc
 from entvol.oracle import (
     McConfig,
     mc_accessible_volume,
@@ -111,3 +116,130 @@ def test_result_records_audit_fields():
     assert payload["samples"] == 10_000
     assert payload["seed"] == 13
     assert payload["convention"] == "intrinsic"
+
+
+#: Estimates and standard errors at 1,100,000 samples, seed 2024: two full
+#: chunks and a ragged third.  They were taken from the single-threaded loop
+#: that drew each chunk in one piece, so they pin the sampling plan, not the
+#: way it is carried out.
+GUARD_LAMS = {2: [0.7, 0.3], 5: [0.4, 0.25, 0.15, 0.12, 0.08],
+              8: [0.3, 0.2, 0.15, 0.1, 0.1, 0.07, 0.05, 0.03]}
+GUARD = {
+    "source-d2": (0.28263443738634225, 0.00033024853186107233),
+    "accessible-d2": (0.42447234380020527, 0.00033024853186107233),
+    "source-d5": (6.538593094433334e-05, 2.0558372245660917e-07),
+    "accessible-d5": (0.0004495992993395884, 3.654822250612843e-07),
+    "source-d8": (7.944580704715765e-10, 3.0787452012722907e-12),
+    "accessible-d8": (7.279375332889883e-09, 6.628384571855322e-12),
+    "half-ball": (0.2615127272727273, 0.00023811276379584183),
+    "caseiii": (0.14472363636363636, 0.00021620042733854017),
+    "caseiii-zero": (0.1771181818181818, 0.00022801164359924573),
+}
+
+
+def _guard_call(name: str):
+    cfg = McConfig(samples=1_100_000, seed=2024)
+    if name.startswith(("source", "accessible")):
+        kind, d = name.split("-d")
+        lam = canonicalize(GUARD_LAMS[int(d)])
+        return (mc_source_volume if kind == "source" else mc_accessible_volume)(lam, cfg)
+    if name == "half-ball":
+        return mc_region_volume(lambda p: (p ** 2).sum(axis=1) < 0.25,
+                                np.array([0.0, -0.5, -0.5]), np.full(3, 0.5), cfg)
+    gam = [0.05, 0.04, 0.03] if name == "caseiii" else [0.06, 0.0, 0.03]
+    return caseiii_accessible_mc(np.array(gam), cfg)
+
+
+@pytest.mark.parametrize("workers,block", [
+    (None, None),           # as the machine allows
+    (3, None),              # one thread per chunk, also on a single CPU
+    (1, 1_000),             # inline, in small blocks with a ragged last one
+    (1, oracle._CHUNK),     # inline, one block per chunk
+], ids=["default", "three-workers", "inline-block-1000", "inline-block-chunk"])
+@pytest.mark.parametrize("name", GUARD)
+def test_estimates_do_not_depend_on_blocks_or_workers(monkeypatch, name, workers, block):
+    if workers is not None:
+        monkeypatch.setattr(oracle, "_workers", lambda: workers)
+    if block is not None:
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+    res = _guard_call(name)
+    assert (res.estimate, res.stderr) == GUARD[name]
+    assert (res.samples, res.seed) == (1_100_000, 2024)
+
+
+class ChunkTwoFails(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers,ran", [
+    (1, {0: 4, 1: 4, 2: 1}),
+    (2, {0: 4, 1: 4, 2: 1, 3: 1}),
+], ids=["inline", "two-workers"])
+def test_predicate_error_stops_the_run(monkeypatch, workers, ran):
+    # ten chunks of four blocks; the predicate raises on chunk 2's first block
+    monkeypatch.setattr(oracle, "_workers", lambda: workers)
+    monkeypatch.setattr(oracle, "_CHUNK", 4_000)
+    monkeypatch.setattr(oracle, "_BLOCK", 1_000)
+    local = threading.local()
+    keyed = oracle._rng
+
+    def rng(seed, chunk):
+        local.chunk = chunk
+        return keyed(seed, chunk)
+
+    monkeypatch.setattr(oracle, "_rng", rng)
+    started, raised = threading.Event(), threading.Event()
+    blocks = Counter()
+
+    def predicate(pts):
+        blocks[local.chunk] += 1
+        if local.chunk == 2:
+            if workers > 1:
+                started.wait(10)  # let the other worker start on chunk 3
+            raised.set()
+            raise ChunkTwoFails("chunk 2")
+        if local.chunk == 3:
+            started.set()
+            raised.wait(10)
+            time.sleep(0.05)  # until the failure is recorded
+        return np.ones(len(pts), dtype=bool)
+
+    with pytest.raises(ChunkTwoFails, match="chunk 2"):
+        mc_region_volume(predicate, np.zeros(1), np.ones(1), McConfig(samples=40_000, seed=0))
+    # the worker on chunk 3 stops after its block, and no later chunk starts
+    assert dict(blocks) == ran
+
+
+def test_many_workers_take_every_chunk_once(monkeypatch):
+    # more workers than CPUs, switching threads as often as the interpreter can
+    monkeypatch.setattr(oracle, "_workers", lambda: 8)
+    monkeypatch.setattr(oracle, "_CHUNK", 1_000)
+    monkeypatch.setattr(oracle, "_BLOCK", 250)
+    drawn = []
+    keyed = oracle._rng
+
+    def rng(seed, chunk):
+        drawn.append(chunk)
+        return keyed(seed, chunk)
+
+    monkeypatch.setattr(oracle, "_rng", rng)
+    cfg = McConfig(samples=200_000, seed=15)
+    half = lambda p: p[:, 0] < 0.5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = mc_region_volume(half, np.zeros(1), np.ones(1), cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(drawn) == list(range(200))
+    monkeypatch.setattr(oracle, "_workers", lambda: 1)
+    assert mc_region_volume(half, np.zeros(1), np.ones(1), cfg) == many
+
+
+def test_predicate_may_return_a_list():
+    cfg = McConfig(samples=1_100_000, seed=14)
+    lo, hi = np.zeros(2), np.ones(2)
+    as_array = mc_region_volume(lambda p: p[:, 0] < p[:, 1], lo, hi, cfg)
+    as_list = mc_region_volume(lambda p: (p[:, 0] < p[:, 1]).tolist(), lo, hi, cfg)
+    assert as_list == as_array
+    assert as_array.estimate == pytest.approx(0.5, abs=5 * as_array.stderr)
