@@ -434,16 +434,6 @@ def _probs_to_eta(p: np.ndarray) -> np.ndarray:
     ])
 
 
-def _tetrahedron_mask(r: np.ndarray) -> np.ndarray:
-    """Vectorized membership of rows of r in the character tetrahedron."""
-    return (
-        (1 + r[:, 0] + r[:, 1] + r[:, 2] >= 0)
-        & (1 + r[:, 0] - r[:, 1] - r[:, 2] >= 0)
-        & (1 - r[:, 0] + r[:, 1] - r[:, 2] >= 0)
-        & (1 - r[:, 0] - r[:, 1] + r[:, 2] >= 0)
-    )
-
-
 # ---------------------------------------------------------------------------
 # convertibility
 # ---------------------------------------------------------------------------
@@ -625,15 +615,24 @@ def can_convert(initial: FourQubitForm, final: FourQubitForm) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def _caseiii_predicate(gam: np.ndarray):
+    """Membership of the rows of an (n, 3) array in {|zeta| < 1/2, gam/zeta in
+    the character tetrahedron}, column by column, so that the columns of a
+    Fortran-ordered array (as ``mc_region_volume`` draws them) are read
+    contiguously.  A quotient gam_j/zeta_j that is not finite (0/0, or an
+    overflow on a zero or tiny zeta_j) puts the point outside: r_j enters two
+    facet sums with each sign, so one of them is -inf or NaN.
+    """
     def predicate(pts: np.ndarray) -> np.ndarray:
         # the tetrahedron test runs only on the points inside the ball
         x, y, z = pts.T
         inside = x * x + y * y + z * z < 0.25
         idx = np.flatnonzero(inside)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = gam / pts.take(idx, axis=0)
-            r = np.where(np.isfinite(r), r, np.inf)
-        inside[idx] = _tetrahedron_mask(r)
+        with np.errstate(all="ignore"):
+            r0, r1, r2 = (g / col.take(idx) for g, col in zip(gam, pts.T))
+            # the four facets, each summed left to right from 1 +- r0
+            plus, minus = 1 + r0, 1 - r0
+            inside[idx] = ((plus + r1 + r2 >= 0) & (plus - r1 - r2 >= 0)
+                           & (minus + r1 - r2 >= 0) & (minus - r1 + r2 >= 0))
         return inside
     return predicate
 

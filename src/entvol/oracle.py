@@ -2,14 +2,22 @@
 
 Sorted Schmidt vectors are sampled uniformly by normalizing exponential
 variates (uniform on the simplex) and sorting; hit fractions against the
-majorization predicate are then scaled by the sorted-region volume.  Sampling
-uses counter-based Philox streams keyed by (seed, chunk index) with a fixed
-chunk length.  Each chunk is drawn and tested in blocks of ``_BLOCK`` rows, so
-that the temporaries stay in cache; successive draws continue the chunk's
-stream, so the points do not depend on the block size.  The chunks are spread
-over threads, one per CPU the process may run on (numpy's Philox fill and
-ufuncs release the GIL), and their integer hit counts summed, so estimates
-are bit-identical whatever the block size and the number of workers.
+majorization predicate are then scaled by the sorted-region volume.  Regions
+in a box [lo, hi) are sampled as ``lo + (hi - lo) * U``, with U read
+row-major from ``Generator.random``.  That is the arithmetic of
+``Generator.uniform(lo, hi)``, whose C loop computes ``lower + range *
+next_double``: the bits agree wherever the compiler does not contract that
+to a fused multiply-add (x86-64 builds do not), and everywhere for ranges
+that are powers of two, whose products are exact.
+
+Sampling uses counter-based Philox streams keyed by (seed, chunk index) with
+a fixed chunk length.  Each chunk is drawn and tested in blocks of ``_BLOCK``
+rows, so that the temporaries stay in cache; successive draws continue the
+chunk's stream, so the points do not depend on the block size.  The chunks
+are spread over threads, one per CPU the process may run on (numpy's Philox
+fill and ufuncs release the GIL), and their integer hit counts summed, so
+estimates are bit-identical whatever the block size and the number of
+workers.
 """
 
 from __future__ import annotations
@@ -169,6 +177,11 @@ def mc_region_volume(
 ) -> McResult:
     """box volume times the hit fraction of a vectorized membership predicate.
 
+    The points are ``lo + (hi - lo) * U``, U read row-major from
+    ``Generator.random`` (the bits of ``Generator.uniform``; see the module
+    docstring for where they agree).  The affine step runs column by column
+    into a Fortran-ordered array, so each coordinate column is contiguous.
+
     ``predicate`` receives an (n, dim) array and must return a boolean array
     (or a list of booleans) of length n; it is assumed total on the box.  It
     may run in several threads at once, and numpy's ``errstate`` does not
@@ -176,7 +189,20 @@ def mc_region_volume(
     """
     lo = np.asarray(box_lo, float)
     hi = np.asarray(box_hi, float)
-    if lo.shape != hi.shape or np.any(hi <= lo):
+    if lo.shape != hi.shape:
         raise InconsistentInput("invalid bounding box")
-    return _hit_fraction(lambda g, n: g.uniform(lo, hi, size=(n, lo.size)),
-                         predicate, float(np.prod(hi - lo)), cfg)
+    lo, hi = lo.reshape(-1), hi.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+    if not np.all((span > 0) & (span < np.inf)):
+        raise InconsistentInput("invalid bounding box")
+
+    def draw(g: np.random.Generator, n: int) -> np.ndarray:
+        u = g.random((n, lo.size))
+        pts = np.empty_like(u, order="F")
+        for j in range(lo.size):
+            np.multiply(u[:, j], span[j], out=pts[:, j])
+            pts[:, j] += lo[j]
+        return pts
+
+    return _hit_fraction(draw, predicate, float(np.prod(span)), cfg)

@@ -130,7 +130,9 @@ def _with_coordinates(P):
 def enumerate_vertices(H: HalfspaceSystem) -> VertexSet:
     """All vertices of the polytope {A x + b >= 0} by k-subset intersection.
 
-    The same subsets decide emptiness and boundedness, without an LP:
+    Every test below runs on the rows (A_i, b_i) scaled to max |A_i| = 1
+    (zero rows as given), so no decision depends on the scale of a row.  The
+    same subsets decide emptiness and boundedness, without an LP:
 
     * A of rank below k (singular values above ``EPS_GEOM``): null(A) is
       pinned to 0 (rows +-n, offset 0).  A vertex then means the set holds a
@@ -144,15 +146,23 @@ def enumerate_vertices(H: HalfspaceSystem) -> VertexSet:
 
     Cost is O(C(m, k) k^3), all subsets solved stacked, fine for the small
     systems this package builds.  Each kept vertex records its full tight
-    set (all rows satisfied with equality, not just the defining subset).
+    set (all rows satisfied with equality, not just the defining subset) as
+    Python ints.
     """
     m, k = H.m, H.k
     if m < k:
         raise InconsistentInput(f"need at least k={k} rows, got {m}")
-    _, s, vt = np.linalg.svd(H.A)
+    # rows already at max |A_i| = 1 keep their bits
+    scale = np.abs(H.A).max(axis=1, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    with np.errstate(over="ignore"):
+        A0, b0 = H.A / scale[:, None], H.b / scale
+    if not np.all(np.isfinite(b0)):
+        raise InconsistentInput("an offset overflows on its row scaled to max |A_i| = 1")
+    _, s, vt = np.linalg.svd(A0)
     null = vt[np.count_nonzero(s > EPS_GEOM):]
-    A = np.vstack([H.A, null, -null])
-    b = np.concatenate([H.b, np.zeros(2 * len(null))])
+    A = np.vstack([A0, null, -null])
+    b = np.concatenate([b0, np.zeros(2 * len(null))])
 
     rows = np.array(list(itertools.combinations(range(len(A)), k)), dtype=int, ndmin=2)
     A_sub = A[rows]
@@ -169,12 +179,12 @@ def enumerate_vertices(H: HalfspaceSystem) -> VertexSet:
 
     # max |r_i| = 1 does not underflow as |r| = 1 can; R^0 (k = 0) has no r
     R = np.swapaxes(np.linalg.inv(A_sub), 1, 2).reshape(len(A_sub) * k, k)
-    Ar = R @ H.A.T / np.abs(R).max(axis=1, keepdims=True, initial=0.0)
+    Ar = R @ A0.T / np.abs(R).max(axis=1, keepdims=True, initial=0.0)
     if len(null) or np.any(np.all(Ar >= -EPS_GEOM, axis=1)):
         raise Unbounded("a feasible ray exists")
     V = X[keep]
-    slack = V @ H.A.T + H.b  # (n, m)
-    tight = tuple(frozenset(np.flatnonzero(np.abs(row) <= EPS_GEOM)) for row in slack)
+    slack = V @ A0.T + b0  # (n, m)
+    tight = tuple(frozenset(np.flatnonzero(np.abs(row) <= EPS_GEOM).tolist()) for row in slack)
     return VertexSet(V, tight)
 
 

@@ -1,7 +1,7 @@
 """Shared test helpers: the d!-term source oracles (the signed sum and the
 permutation hull of lam), a generic pulling-recursion volume for enumerated
-polytopes, and the random-state and random-pair generators of the four-qubit
-tests."""
+polytopes, the row-wise Case-III predicate, and the random-state and
+random-pair generators of the four-qubit tests."""
 
 from __future__ import annotations
 
@@ -129,6 +129,30 @@ def pulling_volume(V) -> float:
 
     dim = len(_directions(pts))
     return vol(tuple(range(V.n)), dim) if dim else 0.0
+
+
+# -- the Case-III predicate as first vectorized, an oracle for the column one --
+
+def caseiii_predicate_reference(gam: np.ndarray):
+    """Members of {|zeta| < 1/2, gam/zeta in the character tetrahedron}: the
+    ball test on the rows of pts, then gam / pts on the in-ball rows and the
+    four facets row by row, a non-finite quotient counting as +inf.  Its facet
+    sums run outside ``errstate``, so inf - inf warns."""
+    def predicate(pts: np.ndarray) -> np.ndarray:
+        x, y, z = pts.T
+        inside = x * x + y * y + z * z < 0.25
+        idx = np.flatnonzero(inside)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = gam / pts.take(idx, axis=0)
+            r = np.where(np.isfinite(r), r, np.inf)
+        inside[idx] = (
+            (1 + r[:, 0] + r[:, 1] + r[:, 2] >= 0)
+            & (1 + r[:, 0] - r[:, 1] - r[:, 2] >= 0)
+            & (1 - r[:, 0] + r[:, 1] - r[:, 2] >= 0)
+            & (1 - r[:, 0] - r[:, 1] + r[:, 2] >= 0)
+        )
+        return inside
+    return predicate
 
 
 def fixed_seed_params() -> SeedParams:

@@ -20,6 +20,7 @@ from entvol.fourqubit import (
     TAG_MES,
     TAG_SEED,
     TAG_TWO_AXES,
+    _caseiii_predicate,
     accessible_volume_4q,
     build_seed,
     can_convert,
@@ -37,7 +38,7 @@ from entvol.fourqubit import (
 )
 from entvol.oracle import McConfig
 
-from _helpers import Z3, fixed_seed_params, form, random_iiia_pair
+from _helpers import Z3, caseiii_predicate_reference, fixed_seed_params, form, random_iiia_pair
 
 SEED = fixed_seed_params()
 
@@ -377,3 +378,47 @@ def test_caseiii_mc_toward_seed_quadrant():
     tiny = np.full(3, 1e-5)
     res = caseiii_accessible_mc(tiny, McConfig(samples=1_000_000, seed=12))
     assert abs(res.estimate - math.pi / 12) <= 4 * res.stderr
+
+
+def _caseiii_edge_points(gam) -> np.ndarray:
+    """Points the random draws never hit: exact and negative zeros, the sphere
+    |zeta|^2 = 1/4, the tetrahedron's vertices and facets (gam/zeta exact),
+    and their neighbours one ulp away; then points spread over the sphere and
+    gam/r for r spread over each facet, where the order of a sum decides the
+    rounded comparison."""
+    g = np.asarray(gam, float)
+    pts = [
+        [0.0, 0.1, 0.2], [0.1, 0.0, -0.2], [0.1, -0.2, 0.0], [-0.0, 0.1, 0.2],
+        [0.1, -0.0, 0.2], [0.0, 0.0, 0.0], [0.0, -0.0, 0.3], [0.5, 0.0, 0.0],
+        [0.0, 0.5, 0.0], [0.0, 0.0, -0.5], [0.3, 0.4, 0.0], [0.25, 0.25, 0.25 * 2 ** 0.5],
+    ]
+    corners = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(300, 3))
+    on_sphere = 0.5 * u / np.linalg.norm(u, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in [*corners, [-0.5, -0.25, -0.25], [-0.5, 0.25, 0.25],   # vertices, facets
+                  [0.5, -0.25, 0.25], [0.5, 0.25, -0.25], [0.0, 0.5, -0.5]]:
+            pts.append(g / np.array(r, float))
+        on_facets = [g / (rng.dirichlet(np.ones(3), size=100) @ np.delete(corners, f, axis=0))
+                     for f in range(4)]
+    pts = np.array(pts)
+    pts = pts[np.all(np.isfinite(pts), axis=1)]
+    return np.concatenate([pts, np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf),
+                           on_sphere, *on_facets])
+
+
+@pytest.mark.parametrize("gam", [
+    (0.125, 0.0625, 0.0625), (0.05, 0.04, 0.03), (0.08, 0.0, 0.05), (0.0, 0.0, 0.0),
+], ids=["dyadic", "generic", "zero-component", "zero"])
+def test_caseiii_predicate_matches_row_wise_reference_on_edges(gam):
+    gam = np.array(gam)
+    pts = _caseiii_edge_points(gam)
+    rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+    pts = np.concatenate([pts, rng.uniform([0.0, -0.5, -0.5], [0.5, 0.5, 0.5], size=(20_000, 3))])
+    with np.errstate(invalid="ignore", over="ignore"):  # the reference's inf - inf, g/5e-324
+        expected = caseiii_predicate_reference(gam)(pts)
+    edges = expected[:-20_000]
+    assert 0 < np.count_nonzero(edges) < len(edges)
+    for layout in ("C", "F"):
+        assert np.array_equal(_caseiii_predicate(gam)(np.asarray(pts, order=layout)), expected)

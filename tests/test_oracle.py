@@ -243,3 +243,39 @@ def test_predicate_may_return_a_list():
     as_list = mc_region_volume(lambda p: (p[:, 0] < p[:, 1]).tolist(), lo, hi, cfg)
     assert as_list == as_array
     assert as_array.estimate == pytest.approx(0.5, abs=5 * as_array.stderr)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    ((-0.3, 0.1), (0.9, 2.2)),                 # ranges that are not powers of two
+    ((0.0, -0.5, -0.5), (0.5, 0.5, 0.5)),      # the half box of the Case-III region
+], ids=["ragged-box", "half-box"])
+def test_region_points_are_the_affine_image_of_random(monkeypatch, lo, hi):
+    # chunks of 5000 in blocks of 2000: ragged last blocks and a ragged last chunk
+    monkeypatch.setattr(oracle, "_workers", lambda: 1)
+    monkeypatch.setattr(oracle, "_CHUNK", 5_000)
+    monkeypatch.setattr(oracle, "_BLOCK", 2_000)
+    lo, hi = np.array(lo), np.array(hi)
+    blocks = []
+
+    def predicate(pts):
+        blocks.append(pts.copy())
+        return np.ones(len(pts), dtype=bool)
+
+    cfg = McConfig(samples=12_000, seed=31)
+    mc_region_volume(predicate, lo, hi, cfg)
+    assert [len(b) for b in blocks] == [2_000, 2_000, 1_000] * 2 + [2_000]
+    for idx, n in enumerate((5_000, 5_000, 2_000)):
+        pts = np.concatenate(blocks[3 * idx: 3 * idx + 3])
+        assert np.array_equal(pts, lo + (hi - lo) * oracle._rng(cfg.seed, idx).random((n, lo.size)))
+        if lo.size == 3:
+            assert np.array_equal(pts, oracle._rng(cfg.seed, idx).uniform(lo, hi, size=(n, 3)))
+
+
+@pytest.mark.parametrize("lo,hi", [
+    ((0.0, np.nan), (1.0, 1.0)), ((0.0, 0.0), (1.0, np.inf)), ((-1e308, 0.0), (1e308, 1.0)),
+    ((0.0, 1.0), (1.0, 1.0)), ((0.0,), (1.0, 1.0)),
+], ids=["nan", "inf", "overflowing-range", "empty", "shapes"])
+def test_region_rejects_invalid_boxes(lo, hi):
+    with pytest.raises(errors.InconsistentInput, match="invalid bounding box"):
+        mc_region_volume(lambda p: p[:, 0] < 1, np.array(lo), np.array(hi),
+                         McConfig(samples=1_000, seed=0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entvol import errors
-from entvol.bipartite import accessible_hrep
+from entvol.bipartite import _face_volume, accessible_hrep
 from entvol.polytope import (
     HalfspaceSystem,
     VertexSet,
@@ -138,6 +138,30 @@ def test_huge_rows_keep_their_square():
     assert {tuple(np.round(v, 9)) for v in V.vertices} == {(0, 0), (0, 1), (1, 0), (1, 1)}
     vol, dim = volume_triangulation(V)
     assert dim == 2 and vol == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_tiny_and_huge_rows_keep_their_square(scale):
+    # absolute tolerances on unscaled rows called the 1e-300 square unbounded
+    H = HalfspaceSystem(np.array([[scale, 0.0], [0.0, 1.0], [-scale, 0.0], [0.0, -1.0]]),
+                        np.array([0.0, 0.0, scale, 1.0]))
+    V = enumerate_vertices(H)
+    assert {tuple(np.round(v, 9)) for v in V.vertices} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_offset_overflowing_its_scaled_row_is_refused():
+    H = HalfspaceSystem(np.array([[1e-300], [-1.0]]), np.array([1e10, 1.0]))
+    with pytest.raises(errors.InconsistentInput, match="overflows"):
+        enumerate_vertices(H)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tight_sets_feed_lasserre_on_the_unit_box(k):
+    H = HalfspaceSystem(np.vstack([np.eye(k), -np.eye(k)]), np.r_[np.zeros(k), np.ones(k)])
+    V = enumerate_vertices(H)
+    assert all(type(r) is int for ts in V.tight_sets for r in ts)
+    vol, dim = _face_volume(H, V)
+    assert dim == k and vol == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rank_deficient_rows_decide_line_or_empty():
