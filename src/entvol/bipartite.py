@@ -93,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, IndexOutOfRange, ShrinkNotAllowed
-from .polytope import EPS_GEOM, HalfspaceSystem, VertexSet
+from .polytope import EPS_GEOM, HalfspaceSystem, VertexSet, scaled_rows
 # Not called here: bench/harness.py::install_layer_spans wraps these two names
 # on this module by name in every traced run.
 from .polytope import enumerate_vertices, volume_triangulation  # noqa: F401
@@ -432,12 +432,13 @@ def _face_volume(H: HalfspaceSystem, V: VertexSet) -> tuple[float, int]:
     Lasserre's recursion over faces (see the module docstring).
 
     Faces and row sets are bitmasks: bit i of a face is vertex i, bit r of a
-    row set is row r of H.  ``memo`` maps a face to (volume, dimension, the
-    rows tight on all of it).
+    row set is row r of H, scaled as ``enumerate_vertices`` scales it (max
+    |A_i| = 1), so that no row norm underflows or overflows.  ``memo`` maps a
+    face to (volume, dimension, the rows tight on all of it).
     """
-    A = H.A
+    A, b = scaled_rows(H)
     n_rows, n = A.shape
-    slack = (V.vertices @ A.T + H.b).tolist()
+    slack = (V.vertices @ A.T + b).tolist()
     pts = V.vertices.tolist()
     masks = [sum(1 << r for r in ts) for ts in V.tight_sets]
     on_row = [sum(1 << i for i, mk in enumerate(masks) if mk >> r & 1) for r in range(n_rows)]

@@ -287,64 +287,41 @@ class Classified:
         return self.form.gammas
 
 
-def _classify_at(g: np.ndarray, tol: float):
-    """Decision tuple (tag, w, roles) or None when no family form fits."""
-    candidates = []
+def _classify_at(g: np.ndarray):
+    """Decision tuple (tag, w, roles) read off the exact support ``g != 0``,
+    or None when no family form fits.
+
+    One active party is ``axis_only`` or ``general_one_party``.  With more,
+    the first axis w (x, y, z in order) off which at most one party has a
+    component decides; only a ``two_axes`` state fits two axes, and it takes
+    the smaller.
+    """
+    active = [j for j in range(4) if g[j].any()]
+    if not active:
+        return TAG_SEED, None, {}
+    if len(active) == 1:
+        i = active[0]
+        comps = np.flatnonzero(g[i])
+        if len(comps) > 1:
+            return TAG_GENERAL_ONE, None, {"party": i}
+        ax = int(comps[0])
+        return TAG_AXIS_ONLY, ax, {"party": i, "value": abs(g[i][ax])}
     for w in range(3):
-        for i in range(4):
-            others = [j for j in range(4) if j != i]
-            if all(np.max(np.abs(np.delete(g[j], w))) <= tol for j in others):
-                candidates.append((w, i))
-    if not candidates:
-        return None
-
-    decisions = []
-    for w, i in candidates:
-        trans = np.delete(g[i], w)
-        n_w = sum(1 for j in range(4) if abs(g[j][w]) > tol)
-        if np.max(np.abs(trans)) <= tol:
-            if n_w >= 2:
-                decisions.append((TAG_MES, w, {"axis_values": tuple(g[j][w] for j in range(4))}))
-            elif n_w == 1:
-                party = next(j for j in range(4) if abs(g[j][w]) > tol)
-                decisions.append((TAG_AXIS_ONLY, w, {"party": party, "value": abs(g[party][w])}))
-            # n_w == 0 is the seed, excluded above
-        else:
-            if n_w >= 2:
-                decisions.append((TAG_GENERAL_PLUS_AXES, w, {"general_party": i}))
-            else:
-                axis_parties = [j for j in range(4) if j != i and np.max(np.abs(g[j])) > tol]
-                if not axis_parties and abs(g[i][w]) > tol:
-                    decisions.append((TAG_GENERAL_ONE, None, {"party": i}))
-                elif not axis_parties:
-                    # only party i is populated, purely transverse to this w
-                    n_comp = int(np.sum(np.abs(g[i]) > tol))
-                    if n_comp == 1:
-                        ax = int(np.argmax(np.abs(g[i])))
-                        decisions.append((TAG_AXIS_ONLY, ax, {"party": i, "value": abs(g[i][ax])}))
-                    else:
-                        decisions.append((TAG_GENERAL_ONE, None, {"party": i}))
-                else:
-                    j = axis_parties[0]
-                    n_comp = int(np.sum(np.abs(trans) > tol))
-                    if n_comp == 2:
-                        decisions.append(
-                            (TAG_AXIS_TRANSVERSE, w, {"axis_party": j, "transverse_party": i})
-                        )
-                    else:
-                        v = [u for u in range(3) if u != w and abs(g[i][u]) > tol][0]
-                        decisions.append(
-                            (TAG_TWO_AXES, w, {
-                                "parties": ((i, v), (j, w)),
-                            })
-                        )
-
-    order = {
-        TAG_MES: 0, TAG_AXIS_ONLY: 1, TAG_GENERAL_ONE: 2, TAG_TWO_AXES: 3,
-        TAG_AXIS_TRANSVERSE: 4, TAG_GENERAL_PLUS_AXES: 5,
-    }
-    decisions.sort(key=lambda t: (order[t[0]], -1 if t[1] is None else t[1]))
-    return decisions[0]
+        off = [j for j in active if np.delete(g[j], w).any()]
+        if not off:
+            return TAG_MES, w, {"axis_values": tuple(g[j][w] for j in range(4))}
+        if len(off) > 1:
+            continue
+        i = off[0]
+        if np.count_nonzero(g[:, w]) >= 2:
+            return TAG_GENERAL_PLUS_AXES, w, {"general_party": i}
+        # one axis party j on w; i lies off w entirely
+        j = next(j for j in active if j != i)
+        trans = [u for u in range(3) if u != w and g[i][u] != 0]
+        if len(trans) == 2:
+            return TAG_AXIS_TRANSVERSE, w, {"axis_party": j, "transverse_party": i}
+        return TAG_TWO_AXES, w, {"parties": ((i, trans[0]), (j, w))}
+    return None
 
 
 def classify(form: FourQubitForm) -> Classified:
@@ -354,26 +331,23 @@ def classify(form: FourQubitForm) -> Classified:
     most ``AXIS_TOL`` is set to exactly 0 before the standard form is taken,
     and the classified gammas carry those zeros to the conversion rows, the
     witness and the case volumes.  States outside the convertible family are
-    tagged isolated; if a looser alignment tolerance (1e-6) would have placed
-    them inside, the diagnostic records the near-miss instead of silently
-    reclassifying.
+    tagged isolated; if zeroing every component of magnitude at most 1e-6
+    and running the same rule again places them inside (the seed included),
+    the diagnostic records the near-miss instead of silently reclassifying.
     """
     zeroed = np.where(np.abs(form.gammas) <= AXIS_TOL, 0.0, form.gammas)
     sf = standard_form(FourQubitForm(form.seed, zeroed))
     g = sf.gammas
-    if not g.any():
-        return Classified(sf, TAG_SEED)
-    decision = _classify_at(g, 0.0)
-    if decision is None:
-        diag = None
-        if _classify_at(g, 1e-6) is not None:
-            diag = (
-                "nearly axis-aligned: off-axis components are below 1e-6 but above "
-                f"the alignment tolerance {AXIS_TOL}; treating as isolated"
-            )
-        return Classified(sf, TAG_ISOLATED, diagnostic=diag)
-    tag, w, roles = decision
-    return Classified(sf, tag, w, roles)
+    decision = _classify_at(g)
+    if decision is not None:
+        return Classified(sf, *decision)
+    diag = None
+    if _classify_at(np.where(np.abs(g) <= 1e-6, 0.0, g)) is not None:
+        diag = (
+            "nearly axis-aligned: off-axis components are below 1e-6 but above "
+            f"the alignment tolerance {AXIS_TOL}; treating as isolated"
+        )
+    return Classified(sf, TAG_ISOLATED, diagnostic=diag)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,8 @@ def mc_region_volume(
     (or a list of booleans) of length n; it is assumed total on the box.  It
     may run in several threads at once, and numpy's ``errstate`` does not
     reach them: a predicate that divides must set ``np.errstate`` itself.
+    A box with an empty side or a volume that is not finite and positive in
+    floats raises ``InconsistentInput``.
     """
     lo = np.asarray(box_lo, float)
     hi = np.asarray(box_hi, float)
@@ -194,7 +196,8 @@ def mc_region_volume(
     lo, hi = lo.reshape(-1), hi.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         span = hi - lo
-    if not np.all((span > 0) & (span < np.inf)):
+        volume = float(np.prod(span))
+    if not (np.all(span > 0) and 0.0 < volume < math.inf):
         raise InconsistentInput("invalid bounding box")
 
     def draw(g: np.random.Generator, n: int) -> np.ndarray:
@@ -205,4 +208,4 @@ def mc_region_volume(
             pts[:, j] += lo[j]
         return pts
 
-    return _hit_fraction(draw, predicate, float(np.prod(span)), cfg)
+    return _hit_fraction(draw, predicate, volume, cfg)

@@ -127,12 +127,27 @@ def _with_coordinates(P):
     return P
 
 
+def scaled_rows(H: HalfspaceSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (A_i, b_i) scaled to max |A_i| = 1, zero rows as given.
+
+    Rows already at max |A_i| = 1 keep their bits.  An offset that overflows
+    on its scaled row raises ``InconsistentInput``.
+    """
+    scale = np.abs(H.A).max(axis=1, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    with np.errstate(over="ignore"):
+        A, b = H.A / scale[:, None], H.b / scale
+    if not np.all(np.isfinite(b)):
+        raise InconsistentInput("an offset overflows on its row scaled to max |A_i| = 1")
+    return A, b
+
+
 def enumerate_vertices(H: HalfspaceSystem) -> VertexSet:
     """All vertices of the polytope {A x + b >= 0} by k-subset intersection.
 
-    Every test below runs on the rows (A_i, b_i) scaled to max |A_i| = 1
-    (zero rows as given), so no decision depends on the scale of a row.  The
-    same subsets decide emptiness and boundedness, without an LP:
+    Every test below runs on the rows of :func:`scaled_rows`, so no decision
+    depends on the scale of a row.  The same subsets decide emptiness and
+    boundedness, without an LP:
 
     * A of rank below k (singular values above ``EPS_GEOM``): null(A) is
       pinned to 0 (rows +-n, offset 0).  A vertex then means the set holds a
@@ -152,13 +167,7 @@ def enumerate_vertices(H: HalfspaceSystem) -> VertexSet:
     m, k = H.m, H.k
     if m < k:
         raise InconsistentInput(f"need at least k={k} rows, got {m}")
-    # rows already at max |A_i| = 1 keep their bits
-    scale = np.abs(H.A).max(axis=1, initial=0.0)
-    scale[scale == 0.0] = 1.0
-    with np.errstate(over="ignore"):
-        A0, b0 = H.A / scale[:, None], H.b / scale
-    if not np.all(np.isfinite(b0)):
-        raise InconsistentInput("an offset overflows on its row scaled to max |A_i| = 1")
+    A0, b0 = scaled_rows(H)
     _, s, vt = np.linalg.svd(A0)
     null = vt[np.count_nonzero(s > EPS_GEOM):]
     A = np.vstack([A0, null, -null])

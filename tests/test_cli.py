@@ -195,6 +195,19 @@ def test_fourqubit_classify_near_miss_note(capsys):
     assert out.splitlines() == ["class: isolated", f"note: {payload['diagnostic']}"]
 
 
+def test_fourqubit_near_seed_state_exits_cleanly(capsys):
+    # isolated on its exact support, the seed once components <= 1e-6 are zeroed
+    gammas = "1e-7,1e-7,0;1e-7,0,1e-7;0,0,0;0,0,0"
+    code, out, _ = run(capsys, "fourqubit", "classify", "--gammas", gammas, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["tag"] == "isolated"
+    assert payload["diagnostic"].startswith("nearly axis-aligned")
+    code, out, _ = run(capsys, "fourqubit", "convert", "--from-gammas", gammas,
+                       "--to-gammas", "0,0,0;0,0,0;0,0,0;0,0,0")
+    assert (code, out) == (0, "not convertible (isolated state)\n")
+
+
 def test_fourqubit_measures_text_line(capsys):
     gammas = "0.2,0,0;0,0,0;0,0,0;0,0,0"
     _, out, _ = run(capsys, "fourqubit", "measures", "--gammas", gammas, "--json")

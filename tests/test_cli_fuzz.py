@@ -27,9 +27,11 @@ STEPS = st.sampled_from(["1", "2", "3", "3", "0", "-1", "x"])
 JSON_FLAG = st.sampled_from([[], ["--json"]])
 FAULT = st.sampled_from([False, False, True])
 
-#: Gamma rows of norm below 1/2: zero, axis-aligned and general rows.
+#: Gamma rows of norm below 1/2: zero, axis-aligned and general rows, and rows
+#: inside (AXIS_TOL, 1e-6], which reach the near-miss pass of ``classify``.
 GAMMA_ROWS = st.sampled_from(["0,0,0", "0,0,0", "0,0,0", "0.2,0,0", "0,0.3,0", "0,0,0.1",
-                              "0.4,0,0", "0.1,0.2,0.15", "0,0.2,0.1", "-0.15,0,0.05"])
+                              "0.4,0,0", "0.1,0.2,0.15", "0,0.2,0.1", "-0.15,0,0.05",
+                              "1e-7,1e-7,0", "0,1e-7,1e-7", "1e-7,0,1e-7"])
 #: Pairs that convert, one per row of the conversion table.
 CONVERTIBLE = st.sampled_from([
     ("0,0,0;0,0,0;0,0,0;0,0,0", "0.1,0.2,0.15;0,0,0;0,0,0;0,0,0"),

@@ -144,6 +144,18 @@ def test_classify_near_miss_diagnostic():
     assert ok.tag == TAG_MES
 
 
+def test_tiny_supports_keep_their_tag_and_note_the_near_miss():
+    # magnitude 1e-7 lies in (AXIS_TOL, 1e-6]: the exact support decides the tag,
+    # and the near-miss pass zeroes it all, which is the seed, in the family
+    assert AXIS_TOL < 1e-7 <= 1e-6
+    for mask in range(1, 1 << 12):
+        support = np.array([mask >> b & 1 for b in range(12)], float).reshape(4, 3)
+        tiny, plain = classify(F(1e-7 * support)), classify(F(0.1 * support))
+        assert tiny.tag == plain.tag, mask
+        if tiny.tag == TAG_ISOLATED:
+            assert tiny.diagnostic is not None and plain.diagnostic is None, mask
+
+
 # -- eta predicate ------------------------------------------------------------
 
 def test_eta_solve_basics():

@@ -274,7 +274,9 @@ def test_region_points_are_the_affine_image_of_random(monkeypatch, lo, hi):
 @pytest.mark.parametrize("lo,hi", [
     ((0.0, np.nan), (1.0, 1.0)), ((0.0, 0.0), (1.0, np.inf)), ((-1e308, 0.0), (1e308, 1.0)),
     ((0.0, 1.0), (1.0, 1.0)), ((0.0,), (1.0, 1.0)),
-], ids=["nan", "inf", "overflowing-range", "empty", "shapes"])
+    ((-1e200, -1e200), (1e200, 1e200)), ((0.0, 0.0), (1e-200, 1e-200)),
+], ids=["nan", "inf", "overflowing-range", "empty", "shapes", "overflowing-volume",
+        "vanishing-volume"])
 def test_region_rejects_invalid_boxes(lo, hi):
     with pytest.raises(errors.InconsistentInput, match="invalid bounding box"):
         mc_region_volume(lambda p: p[:, 0] < 1, np.array(lo), np.array(hi),

@@ -147,6 +147,9 @@ def test_tiny_and_huge_rows_keep_their_square(scale):
                         np.array([0.0, 0.0, scale, 1.0]))
     V = enumerate_vertices(H)
     assert {tuple(np.round(v, 9)) for v in V.vertices} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # the face recursion takes the same scaled rows: no row norm under- or overflows
+    vol, dim = _face_volume(H, V)
+    assert dim == 2 and vol == pytest.approx(1.0, abs=1e-12)
 
 
 def test_offset_overflowing_its_scaled_row_is_refused():
