@@ -47,14 +47,12 @@ from .fourqubit import (
     FourQubitForm,
     PovmWitness,
     SeedParams,
-    accessible_volume_4q,
     build_seed,
     can_convert,
     classify,
     entanglement_4q,
     povm_witness,
     random_seed_params,
-    source_volume_4q,
     standard_form,
 )
 from .oracle import (
@@ -80,9 +78,8 @@ __all__ = [
     "guaranteed_vertices", "max_entangled_accessible", "source_entanglement",
     "source_entanglement_k", "source_volume",
     "Classified", "FourQubitForm", "PovmWitness", "SeedParams",
-    "accessible_volume_4q", "build_seed", "can_convert", "classify",
-    "entanglement_4q", "povm_witness", "random_seed_params",
-    "source_volume_4q", "standard_form",
+    "build_seed", "can_convert", "classify", "entanglement_4q",
+    "povm_witness", "random_seed_params", "standard_form",
     "McConfig", "McResult", "mc_accessible_volume", "mc_region_volume",
     "mc_source_volume",
 ]

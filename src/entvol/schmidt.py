@@ -85,6 +85,10 @@ def canonicalize(raw: Iterable[float]) -> SchmidtVector:
         raise NegativeComponent(f"component below -{EPS_NORM} in {values}")
     values = [max(x, 0.0) for x in values]
     total = sum(values)
+    if not math.isfinite(total):  # the sum overflowed: rescale by the largest first
+        top = max(values)
+        values = [x / top for x in values]
+        total = sum(values)
     if total <= 0.0:
         raise ZeroSum("components sum to zero")
     values = sorted((x / total for x in values), reverse=True)

@@ -26,7 +26,6 @@ from entvol.fourqubit import (
     TAG_GENERAL_ONE,
     SeedParams,
     _caseiii_predicate,
-    accessible_volume_4q,
     build_seed,
     can_convert,
     caseiii_accessible_mc,
@@ -35,7 +34,6 @@ from entvol.fourqubit import (
     kron4,
     povm_witness,
     random_seed_params,
-    source_volume_4q,
 )
 from entvol.oracle import McConfig, mc_accessible_volume, mc_source_volume
 from entvol.polytope import VertexSet, brion_volume, volume_triangulation
@@ -207,22 +205,22 @@ def test_criterion_08_oracle_agreement():
 
 def test_criterion_09_fourqubit_closed_forms():
     from _helpers import Z3, form
-    seed_state = classify(form(SEED_PARAMS, [Z3, Z3, Z3, Z3]))
-    _, v_seed, _ = accessible_volume_4q(seed_state)
+    def volumes(rows):  # the one sampled state here, c3, is read for V_s only
+        s_rep, a_rep = entanglement_4q(classify(form(SEED_PARAMS, rows)), _SUP_ONLY)
+        return s_rep.volume, a_rep.volume
+
+    _, v_seed = volumes([Z3, Z3, Z3, Z3])
     ok = v_seed == 29 * math.pi / 12
 
-    gx = classify(form(SEED_PARAMS, [[0.2, 0, 0], Z3, Z3, Z3]))
-    _, v_gx, _ = accessible_volume_4q(gx)
+    _, v_gx = volumes([[0.2, 0, 0], Z3, Z3, Z3])
     ok &= abs(v_gx - math.pi / 48 * (11 + 1.6 * (0.04 - 3))) <= 1e-12
 
-    ia = classify(form(SEED_PARAMS, [[0.15, 0.2, 0.1], [0.3, 0, 0], [0.1, 0, 0], Z3]))
-    _, v_a, _ = accessible_volume_4q(ia)
-    _, v_s = source_volume_4q(ia)[0], source_volume_4q(ia)[1]
+    v_s, v_a = volumes([[0.15, 0.2, 0.1], [0.3, 0, 0], [0.1, 0, 0], Z3])
     ok &= abs(v_a - (math.sqrt(0.2275) - math.sqrt(0.05))) <= 1e-9
     ok &= abs(v_s - math.sqrt(0.05)) <= 1e-9
 
-    c3 = classify(form(SEED_PARAMS, [[0.23, 0.13, 0.15], Z3, Z3, Z3]))
-    ok &= abs(source_volume_4q(c3)[1] - 2 / 3 * 0.23 * 0.13 * 0.15) <= 1e-12
+    v_s, _ = volumes([[0.23, 0.13, 0.15], Z3, Z3, Z3])
+    ok &= abs(v_s - 2 / 3 * 0.23 * 0.13 * 0.15) <= 1e-12
     assert _report("criterion 9: four-qubit case formulas", ok,
                    f"seed V_a={v_seed:.6f}, axis V_a={v_gx:.6f}")
 

@@ -238,6 +238,53 @@ def test_fourqubit_state_json_roundtrip(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("a,d2", [
+    (math.nan, 0.195), (math.inf, 0.195), (0.6, 0.195 - 4e-8),  # the last: norm 0.99999996
+], ids=["nan", "inf", "norm"])
+@pytest.mark.parametrize("command", ["classify", "measures", "witness"])
+def test_fourqubit_invalid_json_seed_is_domain_error(tmp_path, capsys, a, d2, command):
+    seed = {"a": a, "b": [0.5, 0.1], "c": [0.25, -0.35], "d": [math.sqrt(d2), 0.0]}
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"seed": seed, "gammas": [[0, 0, 0]] * 4}), encoding="utf-8")
+    argv = (["--state", str(path)] if command != "witness"
+            else ["--from-state", str(path), "--to-state", str(path)])
+    code, out, _ = run(capsys, "fourqubit", command, *argv, "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == "fourqubit.InvalidSeedParams"
+
+
+@pytest.mark.parametrize("initial,final,probabilities,patterns", [
+    # two valid protocols exist; the initial's (party, axis) names the axis party
+    ("0,0,0;0,0,0;0,0,0;0,-0.07,0", "0,0,0;0,0,0;0.19,0,0;0,-0.14,0",
+     [0.375, 0.375, 0.125, 0.125], [0, 2, 1, 3]),
+    ("0,0,0;0,0,0;0,0,0;0,0,0", "0,0,0;0,-0.24,-0.24;0,0,0;-0.25,0,0",
+     [0.25, 0.25, 0.25, 0.25], [0, 1, 2, 3]),
+], ids=["axis_only", "seed"])
+def test_fourqubit_axis_then_transverse_witness(capsys, initial, final, probabilities, patterns):
+    code, out, _ = run(capsys, "fourqubit", "witness", "--from-gammas", initial,
+                       "--to-gammas", final, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["row"] == "axis_then_transverse"
+    assert payload["pauli_patterns"] == patterns
+    assert payload["probabilities"] == pytest.approx(probabilities, abs=1e-12)
+
+
+def test_fourqubit_seed_opens_axis_party_at_positive_value():
+    # from the seed every Klein sign of the target reproduces; the row takes
+    # the one with a positive axis value, so the identity outcome leaves
+    # party 3 with gamma (+0.25, 0, 0), as G = M^dag M shows
+    from entvol.cli import _default_seed_params, _parse_gammas
+    from entvol.fourqubit import FourQubitForm, povm_witness
+    seed = _default_seed_params()
+    wit = povm_witness(FourQubitForm(seed, _parse_gammas("0,0,0;0,0,0;0,0,0;0,0,0")),
+                       FourQubitForm(seed, _parse_gammas("0,0,0;0,-0.24,-0.24;0,0,0;-0.25,0,0")))
+    m = wit.outcomes[0][3]
+    gram = m.conj().T @ m  # 1/2 + gamma . sigma
+    gamma = [gram[0, 1].real, -gram[0, 1].imag, gram[0, 0].real - 0.5]
+    assert gamma == pytest.approx([0.25, 0.0, 0.0], abs=1e-12)
+
+
 def test_polytope_subcommands(tmp_path, capsys):
     hrep = {"A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": [0, 0, 1, 1]}
     path = tmp_path / "square.json"

@@ -21,7 +21,6 @@ from entvol.fourqubit import (
     TAG_SEED,
     TAG_TWO_AXES,
     _caseiii_predicate,
-    accessible_volume_4q,
     build_seed,
     can_convert,
     caseiii_3d_feasible,
@@ -32,7 +31,6 @@ from entvol.fourqubit import (
     eta_solve,
     kron4,
     random_seed_params,
-    source_volume_4q,
     standard_form,
     PAULI,
 )
@@ -71,6 +69,10 @@ def test_seed_params_validation():
         SeedParams(1.0, 0.0, 0.0, 0.0).validate()       # coincident squares
     with pytest.raises(errors.InvalidSeedParams):
         SeedParams(0.9, 0.1, 0.2, 0.3).validate()       # not normalized
+    for bad in (SeedParams(math.nan, 0.5, 0.5, 0.5),
+                SeedParams(0.5, complex(0.5, math.inf), 0.5, 0.5)):
+        with pytest.raises(errors.InvalidSeedParams, match="finite"):
+            bad.validate()
     random_seed_params(np.random.default_rng(5)).validate()
 
 
@@ -79,6 +81,10 @@ def test_form_json_roundtrip():
     b = FourQubitForm.from_json(a.to_json())
     assert np.allclose(a.gammas, b.gammas)
     assert a.seed.b == b.seed.b
+    payload = a.to_json()
+    payload["seed"]["a"] = math.nan
+    with pytest.raises(errors.InvalidSeedParams):
+        FourQubitForm.from_json(payload)
 
 
 def test_gamma_norm_guard():
@@ -270,6 +276,29 @@ def test_convert_party_labels_are_rigid():
     assert can_convert(i, matched)
 
 
+@pytest.mark.parametrize("initial,final,row_without_stray", [
+    # scaling: a second party off the target's axis z
+    ([[0, 5e-10, 0.04], Z3, [0, 0, 0.23], Z3], [[0, 0, 0.04], Z3, [-0.08, 0, 0.23], Z3],
+     "transverse_scaling"),
+    # rectangle: the initial's axis parties are not the target's
+    ([[0, 0, 5e-10], Z3, Z3, [-0.03, 0, 0]], [Z3, [0, 0, 0.23], Z3, [-0.07, 0, 0]],
+     "axis_then_transverse"),
+    # single party: the initial's party is not the target's
+    ([Z3, Z3, Z3, [0, 0, 5e-10]], [[0, 0, 0.21], Z3, Z3, Z3], "single_party_axis"),
+    # axis then transverse: the initial's axis party is not the target's
+    ([Z3, Z3, Z3, [0, 0, 5e-10]], [[0.2, 0, 0], [0, 0.1, 0.15], Z3, Z3],
+     "axis_then_transverse"),
+], ids=["scaling", "rectangle", "single_party", "axis_then_transverse"])
+def test_convert_rows_refuse_a_stray_band_component(initial, final, row_without_stray):
+    # the stray 5e-10 lies in (AXIS_TOL, CONVERT_TOL]: classify keeps it, and
+    # the twirls would reproduce it to CONVERT_TOL, so only the row's support
+    # test refuses the pair
+    v = can_convert(F(initial), F(final))
+    assert (v.convertible, v.detail) == (False, "no transformation row applies")
+    cleaned = np.where(np.abs(initial) == 5e-10, 0.0, initial)
+    assert can_convert(F(cleaned), F(final)).row == row_without_stray
+
+
 def test_convert_transitive_chains():
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -286,58 +315,53 @@ def test_convert_transitive_chains():
 
 def test_volumes_scaling_family():
     cls = classify(F([[0.15, 0.2, 0.1], [0.3, 0, 0], [0.1, 0, 0], Z3]))
-    dim_s, v_s = source_volume_4q(cls)
-    assert (dim_s, v_s) == (1, pytest.approx(math.sqrt(0.05), abs=1e-12))
-    dim_a, v_a, err = accessible_volume_4q(cls)
-    assert dim_a == 1 and err is None
-    assert v_a == pytest.approx(math.sqrt(0.2275) - math.sqrt(0.05), abs=1e-12)
     s_rep, a_rep = entanglement_4q(cls)
+    assert (s_rep.dimension, s_rep.volume) == (1, pytest.approx(math.sqrt(0.05), abs=1e-12))
+    assert a_rep.dimension == 1 and a_rep.abs_err == 0.0
+    assert a_rep.volume == pytest.approx(math.sqrt(0.2275) - math.sqrt(0.05), abs=1e-12)
     assert s_rep.entanglement == pytest.approx(1 - 2 * math.sqrt(0.05), abs=1e-12)
     assert a_rep.entanglement == pytest.approx(2 * (math.sqrt(0.2275) - math.sqrt(0.05)), abs=1e-12)
 
 
 def test_volumes_mes():
     cls = classify(F([[0.2, 0, 0], [0.1, 0, 0], Z3, Z3]))
-    assert source_volume_4q(cls) == (0, 0.0)
-    dim_a, v_a, _ = accessible_volume_4q(cls)
-    expected = math.pi * (4 * 0.25 - 0.2 ** 2 - 0.1 ** 2)
-    assert dim_a == 2 and v_a == pytest.approx(expected, abs=1e-12)
     s_rep, a_rep = entanglement_4q(cls)
+    assert (s_rep.dimension, s_rep.volume) == (0, 0.0)
+    expected = math.pi * (4 * 0.25 - 0.2 ** 2 - 0.1 ** 2)
+    assert a_rep.dimension == 2 and a_rep.volume == pytest.approx(expected, abs=1e-12)
     assert s_rep.entanglement == 1.0
     assert a_rep.entanglement == pytest.approx(expected / math.pi, abs=1e-12)
 
 
 def test_volumes_rectangle_family():
     cls = classify(F([[0, 0.3, 0], [0.1, 0, 0], Z3, Z3]))
-    assert source_volume_4q(cls) == (2, pytest.approx(4 * 0.3 * 0.1, abs=1e-14))
-    dim_a, v_a, _ = accessible_volume_4q(cls)
-    assert dim_a == 2 and v_a == pytest.approx(0.2 * 0.4, abs=1e-14)
     s_rep, a_rep = entanglement_4q(cls)
+    assert (s_rep.dimension, s_rep.volume) == (2, pytest.approx(4 * 0.3 * 0.1, abs=1e-14))
+    assert a_rep.dimension == 2 and a_rep.volume == pytest.approx(0.2 * 0.4, abs=1e-14)
     assert s_rep.entanglement == pytest.approx(1 - 0.12, abs=1e-12)
     assert a_rep.entanglement == pytest.approx(4 * 0.08, abs=1e-12)
 
 
 def test_volumes_single_general_party():
     cls = classify(F([[0.23, 0.13, 0.15], Z3, Z3, Z3]))
-    dim_s, v_s = source_volume_4q(cls)
-    assert dim_s == 3
-    assert v_s == pytest.approx(2 / 3 * 0.23 * 0.13 * 0.15, abs=1e-15)
     s_rep, _ = entanglement_4q(cls, McConfig(samples=2000, seed=1))
+    assert s_rep.dimension == 3
+    assert s_rep.volume == pytest.approx(2 / 3 * 0.23 * 0.13 * 0.15, abs=1e-15)
     assert s_rep.entanglement == pytest.approx(1 - 24 * math.sqrt(3) * 0.23 * 0.13 * 0.15, abs=1e-12)
 
 
 def test_volumes_one_component_zero_branches():
     wide = classify(F([[0, 0.1, 0.1], Z3, Z3, Z3]))
     assert caseiii_3d_feasible(0.1, 0.1)
-    dim, vol, err = accessible_volume_4q(wide, McConfig(samples=200_000, seed=4))
-    assert dim == 3 and err is not None
-    assert source_volume_4q(wide) == (2, pytest.approx(0.01, abs=1e-15))
+    s_rep, a_rep = entanglement_4q(wide, McConfig(samples=200_000, seed=4))
+    assert a_rep.dimension == 3 and a_rep.abs_err > 0.0
+    assert (s_rep.dimension, s_rep.volume) == (2, pytest.approx(0.01, abs=1e-15))
 
     narrow = classify(F([[0, 0.24, 0.24], Z3, Z3, Z3]))
     assert not caseiii_3d_feasible(0.24, 0.24)
-    dim, vol, err = accessible_volume_4q(narrow)
-    assert dim == 2 and err is None
-    assert vol == pytest.approx(disc_corner_area(0.24, 0.24), abs=1e-15)
+    _, a_rep = entanglement_4q(narrow)
+    assert a_rep.dimension == 2 and a_rep.abs_err == 0.0
+    assert a_rep.volume == pytest.approx(disc_corner_area(0.24, 0.24), abs=1e-15)
     # the 3D region really is empty: no Monte-Carlo hits
     mc = caseiii_accessible_mc(np.array([0.24, 0.24, 0.0]), McConfig(samples=100_000, seed=5))
     assert mc.estimate == 0.0
@@ -345,30 +369,27 @@ def test_volumes_one_component_zero_branches():
 
 def test_volumes_axis_only():
     cls = classify(F([[0.2, 0, 0], Z3, Z3, Z3]))
-    assert source_volume_4q(cls) == (1, pytest.approx(0.2, abs=1e-15))
-    dim_a, v_a, _ = accessible_volume_4q(cls)
-    assert dim_a == 3
-    assert v_a == pytest.approx(math.pi / 48 * (11 + 1.6 * (0.04 - 3)), abs=1e-12)
-    _, a_rep = entanglement_4q(cls)
+    s_rep, a_rep = entanglement_4q(cls)
+    assert (s_rep.dimension, s_rep.volume) == (1, pytest.approx(0.2, abs=1e-15))
+    assert a_rep.dimension == 3
+    assert a_rep.volume == pytest.approx(math.pi / 48 * (11 + 1.6 * (0.04 - 3)), abs=1e-12)
     assert a_rep.entanglement == pytest.approx(1 + 8 / 11 * 0.2 * (0.04 - 3), abs=1e-12)
 
 
 def test_volumes_axis_plus_transverse():
     cls = classify(F([[0.3, 0, 0], [0, 0.1, 0.15], Z3, Z3]))
     t = math.hypot(0.1, 0.15)
-    assert source_volume_4q(cls) == (1, pytest.approx(0.3 + t, abs=1e-12))
-    dim_a, v_a, _ = accessible_volume_4q(cls)
-    assert dim_a == 1 and v_a == pytest.approx(0.5 - t, abs=1e-12)
-    s_rep, _ = entanglement_4q(cls)
+    s_rep, a_rep = entanglement_4q(cls)
+    assert (s_rep.dimension, s_rep.volume) == (1, pytest.approx(0.3 + t, abs=1e-12))
+    assert a_rep.dimension == 1 and a_rep.volume == pytest.approx(0.5 - t, abs=1e-12)
     assert s_rep.entanglement == pytest.approx(1 - (0.3 + t), abs=1e-12)
 
 
 def test_volumes_seed():
     cls = classify(F([Z3, Z3, Z3, Z3]))
-    assert source_volume_4q(cls) == (0, 0.0)
-    dim_a, v_a, _ = accessible_volume_4q(cls)
-    assert dim_a == 3 and v_a == 29 * math.pi / 12
     s_rep, a_rep = entanglement_4q(cls)
+    assert (s_rep.dimension, s_rep.volume) == (0, 0.0)
+    assert a_rep.dimension == 3 and a_rep.volume == 29 * math.pi / 12
     assert s_rep.entanglement == 1.0 and a_rep.entanglement == 1.0
     # the closed form survives copies and pickles of the report
     for rep in (copy.deepcopy(a_rep), pickle.loads(pickle.dumps(a_rep))):

@@ -33,6 +33,12 @@ def test_canonicalize_renormalizes():
     assert svec(2, 1, 1).components == (0.5, 0.25, 0.25)
 
 
+def test_canonicalize_overflowing_sum():
+    # 1e308 + 1e308 overflows to inf; the components are rescaled first
+    assert svec(1e308, 1e308).components == (0.5, 0.5)
+    assert svec(1.5e308, 1e308, 0).components == pytest.approx((0.6, 0.4, 0.0), abs=1e-15)
+
+
 def test_canonicalize_clamps_tiny_negatives():
     lam = canonicalize([0.7, 0.3, -1e-15])
     assert lam.components[2] == 0.0
