@@ -74,10 +74,11 @@ bitmask of their vertices and computed once; each new face updates P_F a_r by
 one rank-one projection.  Ties, trailing zeros and the flat state make the
 polytope degenerate (several rows may cut the same facet, and an intersection
 may be smaller than a facet); the rank test on the rows tight on G handles
-that.  The volume is measured in the first k-1 coordinates and converted to
-the intrinsic convention with the sqrt(k) Jacobian.  A set of lower
-dimension than k-1, such as the separable state's single target, gets
-E_a = 0.
+that.  The volume is measured in the first k-1 coordinates; a full
+(k-1)-dimensional set takes the sqrt(k) Jacobian to the intrinsic
+convention.  A lower-dimensional set arises only when lam's rank is below k:
+it lies in mu_k = 0, where dropping mu_k is an isometry, so it takes no
+factor, and it gets E_a = 0, like the separable state's single target.
 
 Rank 1.  The single point (1,) is the whole sorted region, and its 0-volume
 is 1, as in ``sorted_region_volume(1)`` and the Monte-Carlo oracles.  So at
@@ -507,10 +508,11 @@ def _accessible_measure(H: HalfspaceSystem, V: VertexSet, k: int) -> MeasureRepo
     sup = sorted_region_volume(k)
     if k == 1:  # the single point (1,) is the whole sorted region
         return MeasureReport("accessible", sup, 0, sup, 1.0, 1)
-    vol_proj, dim = _face_volume(H, V)
-    vol = vol_proj * math.sqrt(k)
-    value = vol / sup if dim == k - 1 else 0.0
-    return MeasureReport("accessible", vol, dim, sup, value, k)
+    vol, dim = _face_volume(H, V)
+    if dim < k - 1:  # in mu_k = 0, where dropping mu_k is an isometry
+        return MeasureReport("accessible", vol, dim, sup, 0.0, k)
+    vol *= math.sqrt(k)
+    return MeasureReport("accessible", vol, dim, sup, vol / sup, k)
 
 
 def _accessible_report(lam: SchmidtVector, k: int) -> MeasureReport:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bipartite, fourqubit, oracle, polytope
 from .errors import EntvolError, UsageError
-from .schmidt import SchmidtVector, canonicalize
+from .schmidt import SchmidtVector, canonicalize, embed, majorizes
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -45,8 +45,17 @@ def _round_floats(obj):
     return obj
 
 
-def _emit_json(payload: dict, stream=None) -> None:
-    print(json.dumps(_round_floats(payload)), file=stream or sys.stdout)
+def _emit_json(payload: dict) -> None:
+    print(json.dumps(_round_floats(payload)))
+
+
+def _emit(args, payload: dict, text: str) -> int:
+    """Print ``payload`` as JSON under ``--json`` and ``text`` otherwise."""
+    if args.json:
+        _emit_json(payload)
+    else:
+        print(text)
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,11 +112,16 @@ def _default_seed_params() -> fourqubit.SeedParams:
     return p
 
 
+def _form(gammas_text: str) -> fourqubit.FourQubitForm:
+    """The default seed under the gammas parsed from ``gammas_text``."""
+    return fourqubit.FourQubitForm(_default_seed_params(), _parse_gammas(gammas_text))
+
+
 def _load_form(args) -> fourqubit.FourQubitForm:
-    if getattr(args, "state", None):
+    if args.state:
         return _read_json(args.state, fourqubit.FourQubitForm.from_json)
-    if getattr(args, "gammas", None):
-        return fourqubit.FourQubitForm(_default_seed_params(), _parse_gammas(args.gammas))
+    if args.gammas:
+        return _form(args.gammas)
     raise UsageError("provide --state FILE or --gammas")
 
 
@@ -123,6 +137,17 @@ def _mc_config(samples: int, seed: str | None) -> oracle.McConfig:
     if not -2 ** 63 <= value < 2 ** 64:
         raise UsageError(f"Monte-Carlo seed {text!r} is outside [-2^63, 2^64)")
     return oracle.McConfig(samples=samples, seed=value)
+
+
+def _sweep(header: list[str], start, stop, steps: int, row) -> int:
+    """CSV of ``row(x)`` at ``steps`` evenly spaced points x from ``start``
+    to ``stop``, each row led by its step number."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["step"] + header)
+    for step in range(steps):
+        t = step / (steps - 1) if steps > 1 else 0.0
+        writer.writerow([step] + row((1 - t) * start + t * stop))
+    return EXIT_OK
 
 
 # -- bipartite ----------------------------------------------------------------
@@ -143,12 +168,9 @@ def _cmd_bipartite_source(args) -> int:
            else bipartite.source_entanglement_k(lam, args.k))
     payload = _report_payload(rep, "s")
     payload["schmidt"] = list(lam.components)
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"E_s = {_fmt(rep.entanglement)}  (V_s = {_fmt(rep.volume)}, "
-              f"dim {rep.dimension}, k = {rep.k})")
-    return EXIT_OK
+    text = (f"E_s = {_fmt(rep.entanglement)}  (V_s = {_fmt(rep.volume)}, "
+            f"dim {rep.dimension}, k = {rep.k})")
+    return _emit(args, payload, text)
 
 
 def _cmd_bipartite_accessible(args) -> int:
@@ -160,29 +182,20 @@ def _cmd_bipartite_accessible(args) -> int:
         rep, n_vertices = bipartite.accessible_entanglement_k(lam, args.k), None
     payload = _report_payload(rep, "a")
     payload["schmidt"] = list(lam.components)
+    text = f"E_a = {_fmt(rep.entanglement)}  (V_a = {_fmt(rep.volume)}, dim {rep.dimension}"
     if n_vertices is not None:
         payload["vertices"] = n_vertices
-    if args.json:
-        _emit_json(payload)
-    else:
-        extra = f", {n_vertices} vertices" if n_vertices is not None else ""
-        print(f"E_a = {_fmt(rep.entanglement)}  (V_a = {_fmt(rep.volume)}, "
-              f"dim {rep.dimension}{extra})")
-    return EXIT_OK
+        text += f", {n_vertices} vertices"
+    return _emit(args, payload, text + ")")
 
 
 def _cmd_bipartite_convert(args) -> int:
     src = _parse_schmidt(args.src)
     dst = _parse_schmidt(args.dst)
-    from .schmidt import embed, majorizes
     d = max(src.d, dst.d)
     ok = majorizes(embed(dst, d), embed(src, d))
     payload = {"convertible": bool(ok), "from": list(src.components), "to": list(dst.components)}
-    if args.json:
-        _emit_json(payload)
-    else:
-        print("convertible" if ok else "not convertible")
-    return EXIT_OK
+    return _emit(args, payload, "convertible" if ok else "not convertible")
 
 
 def _cmd_bipartite_sweep(args) -> int:
@@ -190,43 +203,37 @@ def _cmd_bipartite_sweep(args) -> int:
     stop = _parse_schmidt(args.stop)
     if start.d != stop.d:
         raise UsageError("sweep endpoints need equal dimension")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    d = start.d
-    header = ["step"] + [f"lambda_{i+1}" for i in range(d)] + [
-        "V_s", "V_a", "E_s", "E_a", "accessible_vertices", "V_a_dim"]
-    writer.writerow(header)
-    a0, a1 = start.as_array(), stop.as_array()
-    for step in range(args.steps):
-        t = step / (args.steps - 1) if args.steps > 1 else 0.0
-        lam = canonicalize((1 - t) * a0 + t * a1)
+
+    def row(point) -> list:
+        lam = canonicalize(point)
         s_rep = bipartite.source_entanglement(lam)
         a_rep, V = bipartite.accessible_entanglement_and_vertices(lam)
-        writer.writerow([step] + [_fmt(x) for x in lam.components]
-                        + [_fmt(s_rep.volume), _fmt(a_rep.volume),
-                           _fmt(s_rep.entanglement), _fmt(a_rep.entanglement),
-                           V.n, a_rep.dimension])
-    return EXIT_OK
+        return ([_fmt(x) for x in lam.components]
+                + [_fmt(s_rep.volume), _fmt(a_rep.volume),
+                   _fmt(s_rep.entanglement), _fmt(a_rep.entanglement),
+                   V.n, a_rep.dimension])
+
+    header = [f"lambda_{i+1}" for i in range(start.d)] + [
+        "V_s", "V_a", "E_s", "E_a", "accessible_vertices", "V_a_dim"]
+    return _sweep(header, start.as_array(), stop.as_array(), args.steps, row)
 
 
 # -- fourqubit ----------------------------------------------------------------
 
 def _cmd_fourqubit_classify(args) -> int:
     cls = fourqubit.classify(_load_form(args))
+    axis = None if cls.w is None else fourqubit.AXIS_NAMES[cls.w]
     payload = {
         "tag": cls.tag,
-        "axis": None if cls.w is None else fourqubit.AXIS_NAMES[cls.w],
+        "axis": axis,
         "roles": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cls.roles.items()},
         "standard_gammas": cls.gammas.tolist(),
     }
+    text = f"class: {cls.tag}" + (f" (axis {axis})" if axis is not None else "")
     if cls.diagnostic:
         payload["diagnostic"] = cls.diagnostic
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"class: {cls.tag}" + (f" (axis {fourqubit.AXIS_NAMES[cls.w]})" if cls.w is not None else ""))
-        if cls.diagnostic:
-            print(f"note: {cls.diagnostic}")
-    return EXIT_OK
+        text += f"\nnote: {cls.diagnostic}"
+    return _emit(args, payload, text)
 
 
 def _cmd_fourqubit_measures(args) -> int:
@@ -243,21 +250,16 @@ def _cmd_fourqubit_measures(args) -> int:
     }
     payload.update({f"{key}_symbolic": x.text for key, x in payload.items()
                     if isinstance(x, fourqubit.ClosedForm)})
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"class {cls.tag}: E_s = {_fmt(s_rep.entanglement)} "
-              f"(V_s = {_fmt(s_rep.volume)}, dim {s_rep.dimension}), "
-              f"E_a = {_fmt(a_rep.entanglement)} "
-              f"(V_a = {_fmt(a_rep.volume)}, dim {a_rep.dimension})")
-    return EXIT_OK
+    text = (f"class {cls.tag}: E_s = {_fmt(s_rep.entanglement)} "
+            f"(V_s = {_fmt(s_rep.volume)}, dim {s_rep.dimension}), "
+            f"E_a = {_fmt(a_rep.entanglement)} "
+            f"(V_a = {_fmt(a_rep.volume)}, dim {a_rep.dimension})")
+    return _emit(args, payload, text)
 
 
 def _load_pair(args) -> tuple[fourqubit.FourQubitForm, fourqubit.FourQubitForm]:
-    seed = _default_seed_params()
     if args.from_gammas and args.to_gammas:
-        return (fourqubit.FourQubitForm(seed, _parse_gammas(args.from_gammas)),
-                fourqubit.FourQubitForm(seed, _parse_gammas(args.to_gammas)))
+        return _form(args.from_gammas), _form(args.to_gammas)
     if args.from_state and args.to_state:
         return (_read_json(args.from_state, fourqubit.FourQubitForm.from_json),
                 _read_json(args.to_state, fourqubit.FourQubitForm.from_json))
@@ -270,12 +272,8 @@ def _cmd_fourqubit_convert(args) -> int:
     payload = {"convertible": bool(verdict), "row": verdict.row}
     if verdict.detail:
         payload["detail"] = verdict.detail
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(("convertible via " + verdict.row) if verdict else
-              f"not convertible ({verdict.detail})")
-    return EXIT_OK
+    text = ("convertible via " + verdict.row) if verdict else f"not convertible ({verdict.detail})"
+    return _emit(args, payload, text)
 
 
 def _cmd_fourqubit_witness(args) -> int:
@@ -290,36 +288,30 @@ def _cmd_fourqubit_witness(args) -> int:
         "eta_residual": wit.eta_residual,
         "outcome_mismatch": wit.outcome_mismatch,
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"row {wit.row}: {len(wit.outcomes)} outcomes, "
-              f"p = {[_fmt(p) for p in wit.probabilities]}")
-        print(f"completeness residual {wit.completeness_residual:.2e}, "
-              f"eta residual {wit.eta_residual:.2e}, "
-              f"outcome mismatch {wit.outcome_mismatch:.2e}")
-    return EXIT_OK
+    text = (f"row {wit.row}: {len(wit.outcomes)} outcomes, "
+            f"p = {[_fmt(p) for p in wit.probabilities]}\n"
+            f"completeness residual {wit.completeness_residual:.2e}, "
+            f"eta residual {wit.eta_residual:.2e}, "
+            f"outcome mismatch {wit.outcome_mismatch:.2e}")
+    return _emit(args, payload, text)
 
 
 def _cmd_fourqubit_sweep(args) -> int:
     cfg = _mc_config(args.mc_samples, args.mc_seed)
-    seed = _default_seed_params()
-    g0, g1 = (fourqubit.FourQubitForm(seed, _parse_gammas(text)).gammas
-              for text in (args.from_gammas, args.to_gammas))
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["step", "class"]
-                    + [f"gamma_{p+1}{fourqubit.AXIS_NAMES[k]}" for p in range(4) for k in range(3)]
-                    + ["V_s", "V_s_dim", "V_a", "V_a_dim", "E_s", "E_a"])
-    for step in range(args.steps):
-        t = step / (args.steps - 1) if args.steps > 1 else 0.0
-        g = (1 - t) * g0 + t * g1
-        cls = fourqubit.classify(fourqubit.FourQubitForm(seed, g))
+    initial, final = _form(args.from_gammas), _form(args.to_gammas)
+
+    def row(g) -> list:
+        cls = fourqubit.classify(fourqubit.FourQubitForm(initial.seed, g))
         s_rep, a_rep = fourqubit.entanglement_4q(cls, cfg)
-        writer.writerow([step, cls.tag] + [_fmt(x) for x in g.ravel()]
-                        + [_fmt(s_rep.volume), s_rep.dimension,
-                           _fmt(a_rep.volume), a_rep.dimension,
-                           _fmt(s_rep.entanglement), _fmt(a_rep.entanglement)])
-    return EXIT_OK
+        return ([cls.tag] + [_fmt(x) for x in g.ravel()]
+                + [_fmt(s_rep.volume), s_rep.dimension,
+                   _fmt(a_rep.volume), a_rep.dimension,
+                   _fmt(s_rep.entanglement), _fmt(a_rep.entanglement)])
+
+    header = (["class"]
+              + [f"gamma_{p+1}{fourqubit.AXIS_NAMES[k]}" for p in range(4) for k in range(3)]
+              + ["V_s", "V_s_dim", "V_a", "V_a_dim", "E_s", "E_a"])
+    return _sweep(header, initial.gammas, final.gammas, args.steps, row)
 
 
 # -- polytope -----------------------------------------------------------------
@@ -338,12 +330,8 @@ def _cmd_polytope_vertices(args) -> int:
         raise UsageError("vertex enumeration needs an H-representation")
     V = polytope.enumerate_vertices(H)
     payload = {"vertices": V.vertices.tolist(), "count": V.n}
-    if args.json:
-        _emit_json(payload)
-    else:
-        for v in V.vertices:
-            print(" ".join(_fmt(x) for x in v))
-    return EXIT_OK
+    text = "\n".join(" ".join(_fmt(x) for x in v) for v in V.vertices)
+    return _emit(args, payload, text)
 
 
 def _cmd_polytope_volume(args) -> int:
@@ -354,65 +342,54 @@ def _cmd_polytope_volume(args) -> int:
         adjacency = polytope.vertex_adjacency(H, V)
     vol, dim = polytope.volume_triangulation(V)
     payload = {"volume": vol, "dimension": dim, "vertices": V.n}
+    text = f"volume = {_fmt(vol)} (dimension {dim}, {V.n} vertices)"
     if adjacency is not None:
         simple = polytope.is_simple(V, adjacency)
         payload["simple"] = bool(simple)
+        text += f", simple = {payload['simple']}"
         if simple and dim > 0:
             payload["brion_volume"] = polytope.brion_volume(V, adjacency)
-    if args.json:
-        _emit_json(payload)
-    else:
-        line = f"volume = {_fmt(vol)} (dimension {dim}, {V.n} vertices)"
-        if "simple" in payload:
-            line += f", simple = {payload['simple']}"
-        print(line)
-    return EXIT_OK
+    return _emit(args, payload, text)
 
 
 # -- oracle -------------------------------------------------------------------
 
-def _cmd_oracle_source(args) -> int:
-    cfg = _mc_config(args.samples, args.seed)
-    lam = _parse_schmidt(args.schmidt)
-    res = oracle.mc_source_volume(lam, cfg)
-    payload = res.to_json()
-    payload["closed_form"] = bipartite.source_volume(lam)
-    _emit_json(payload)
-    return EXIT_OK
+#: Per majorization oracle: its Monte-Carlo estimate, the engine value it is
+#: checked against and the payload key of that value.
+_MAJORIZATION_ORACLES = {
+    "source": (oracle.mc_source_volume, bipartite.source_volume, "closed_form"),
+    "accessible": (oracle.mc_accessible_volume, lambda lam: bipartite.accessible_volume(lam)[0],
+                   "polytope_value"),
+}
 
 
-def _cmd_oracle_accessible(args) -> int:
+def _cmd_oracle_majorization(args) -> int:
     cfg = _mc_config(args.samples, args.seed)
     lam = _parse_schmidt(args.schmidt)
-    res = oracle.mc_accessible_volume(lam, cfg)
-    payload = res.to_json()
-    payload["polytope_value"] = bipartite.accessible_volume(lam)[0]
+    estimate, engine, key = _MAJORIZATION_ORACLES[args.cmd]
+    value = engine(lam)  # before sampling, so that a rank over the engine's cap fails at once
+    payload = estimate(lam, cfg).to_json()
+    payload[key] = value
     _emit_json(payload)
     return EXIT_OK
 
 
 def _cmd_oracle_region(args) -> int:
     cfg = _mc_config(args.samples, args.seed)
-    if args.region == "ball":
-        lo, hi = np.full(3, -0.5), np.full(3, 0.5)
-        predicate = lambda pts: (pts ** 2).sum(axis=1) < 0.25
-    elif args.region == "half-ball":
-        lo, hi = np.array([0.0, -0.5, -0.5]), np.full(3, 0.5)
-        predicate = lambda pts: (pts ** 2).sum(axis=1) < 0.25
-    elif args.region == "reachable":
+    if args.region == "reachable":
         if not args.gammas:
             raise UsageError("--gammas required for the reachable region")
-        g = _parse_gammas(args.gammas)
-        cls = fourqubit.classify(fourqubit.FourQubitForm(_default_seed_params(), g))
+        cls = fourqubit.classify(_form(args.gammas))
         if cls.tag != fourqubit.TAG_GENERAL_ONE:
             raise UsageError("reachable-region sampling applies to single-general-party states")
         res = fourqubit.caseiii_accessible_mc(
             np.abs(cls.gammas[cls.roles["party"]]), cfg)
-        _emit_json(res.to_json())
-        return EXIT_OK
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown region {args.region}")
-    res = oracle.mc_region_volume(predicate, lo, hi, cfg)
+    else:  # the ball of radius 1/2 about 0, or its half x >= 0
+        lo = np.full(3, -0.5)
+        if args.region == "half-ball":
+            lo[0] = 0.0
+        res = oracle.mc_region_volume(lambda pts: (pts ** 2).sum(axis=1) < 0.25,
+                                      lo, np.full(3, 0.5), cfg)
     _emit_json(res.to_json())
     return EXIT_OK
 
@@ -423,25 +400,32 @@ def build_parser() -> _Parser:
     p = _Parser(prog="entvol", description=__doc__)
     sub = p.add_subparsers(dest="group", required=True)
 
+    # options that several subcommands share, each declared once
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    schmidt = argparse.ArgumentParser(add_help=False)
+    schmidt.add_argument("--schmidt", required=True)
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", help="JSON payload file ('-' for stdin)")
+    state.add_argument("--gammas", help="four semicolon-separated gamma triples")
+    pair = argparse.ArgumentParser(add_help=False)
+    for flag in ("--from-gammas", "--to-gammas", "--from-state", "--to-state"):
+        pair.add_argument(flag)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--samples", type=int, default=1_000_000)
+    sampling.add_argument("--seed")
+
     bp = sub.add_parser("bipartite", help="bipartite Schmidt-vector measures")
     bsub = bp.add_subparsers(dest="cmd", required=True)
+    for name, func in (("source", _cmd_bipartite_source),
+                       ("accessible", _cmd_bipartite_accessible)):
+        b_msr = bsub.add_parser(name, parents=[schmidt, as_json])
+        b_msr.add_argument("--k", type=int, default=None)
+        b_msr.set_defaults(func=func)
 
-    b_src = bsub.add_parser("source")
-    b_src.add_argument("--schmidt", required=True)
-    b_src.add_argument("--k", type=int, default=None)
-    b_src.add_argument("--json", action="store_true")
-    b_src.set_defaults(func=_cmd_bipartite_source)
-
-    b_acc = bsub.add_parser("accessible")
-    b_acc.add_argument("--schmidt", required=True)
-    b_acc.add_argument("--k", type=int, default=None)
-    b_acc.add_argument("--json", action="store_true")
-    b_acc.set_defaults(func=_cmd_bipartite_accessible)
-
-    b_cnv = bsub.add_parser("convert")
+    b_cnv = bsub.add_parser("convert", parents=[as_json])
     b_cnv.add_argument("--from", dest="src", required=True)
     b_cnv.add_argument("--to", dest="dst", required=True)
-    b_cnv.add_argument("--json", action="store_true")
     b_cnv.set_defaults(func=_cmd_bipartite_convert)
 
     b_swp = bsub.add_parser("sweep")
@@ -453,35 +437,17 @@ def build_parser() -> _Parser:
     fq = sub.add_parser("fourqubit", help="generic four-qubit states")
     fsub = fq.add_subparsers(dest="cmd", required=True)
 
-    def _add_state_opts(sp):
-        sp.add_argument("--state", help="JSON payload file ('-' for stdin)")
-        sp.add_argument("--gammas", help="four semicolon-separated gamma triples")
-        sp.add_argument("--json", action="store_true")
-
-    f_cls = fsub.add_parser("classify")
-    _add_state_opts(f_cls)
+    f_cls = fsub.add_parser("classify", parents=[state, as_json])
     f_cls.set_defaults(func=_cmd_fourqubit_classify)
 
-    f_mea = fsub.add_parser("measures")
-    _add_state_opts(f_mea)
+    f_mea = fsub.add_parser("measures", parents=[state, as_json])
     f_mea.add_argument("--mc-samples", type=int, default=1_000_000)
     f_mea.add_argument("--mc-seed")
     f_mea.set_defaults(func=_cmd_fourqubit_measures)
 
-    def _add_pair_opts(sp):
-        sp.add_argument("--from-gammas")
-        sp.add_argument("--to-gammas")
-        sp.add_argument("--from-state")
-        sp.add_argument("--to-state")
-        sp.add_argument("--json", action="store_true")
-
-    f_cnv = fsub.add_parser("convert")
-    _add_pair_opts(f_cnv)
-    f_cnv.set_defaults(func=_cmd_fourqubit_convert)
-
-    f_wit = fsub.add_parser("witness")
-    _add_pair_opts(f_wit)
-    f_wit.set_defaults(func=_cmd_fourqubit_witness)
+    for name, func in (("convert", _cmd_fourqubit_convert), ("witness", _cmd_fourqubit_witness)):
+        f_pair = fsub.add_parser(name, parents=[pair, as_json])
+        f_pair.set_defaults(func=func)
 
     f_swp = fsub.add_parser("sweep")
     f_swp.add_argument("--from-gammas", required=True)
@@ -493,32 +459,17 @@ def build_parser() -> _Parser:
 
     pl = sub.add_parser("polytope", help="raw polytope operations")
     psub = pl.add_subparsers(dest="cmd", required=True)
-    p_ver = psub.add_parser("vertices")
-    p_ver.add_argument("--input", required=True, help="JSON file ('-' for stdin)")
-    p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(func=_cmd_polytope_vertices)
-    p_vol = psub.add_parser("volume")
-    p_vol.add_argument("--input", required=True)
-    p_vol.add_argument("--json", action="store_true")
-    p_vol.set_defaults(func=_cmd_polytope_volume)
+    for name, func in (("vertices", _cmd_polytope_vertices), ("volume", _cmd_polytope_volume)):
+        p_cmd = psub.add_parser(name, parents=[as_json])
+        p_cmd.add_argument("--input", required=True, help="JSON file ('-' for stdin)")
+        p_cmd.set_defaults(func=func)
 
     orc = sub.add_parser("oracle", help="Monte-Carlo validators")
     osub = orc.add_subparsers(dest="cmd", required=True)
-
-    def _add_oracle_opts(sp, with_schmidt=True):
-        if with_schmidt:
-            sp.add_argument("--schmidt", required=True)
-        sp.add_argument("--samples", type=int, default=1_000_000)
-        sp.add_argument("--seed")
-
-    o_src = osub.add_parser("source")
-    _add_oracle_opts(o_src)
-    o_src.set_defaults(func=_cmd_oracle_source)
-    o_acc = osub.add_parser("accessible")
-    _add_oracle_opts(o_acc)
-    o_acc.set_defaults(func=_cmd_oracle_accessible)
-    o_reg = osub.add_parser("region")
-    _add_oracle_opts(o_reg, with_schmidt=False)
+    for name in _MAJORIZATION_ORACLES:
+        o_maj = osub.add_parser(name, parents=[schmidt, sampling])
+        o_maj.set_defaults(func=_cmd_oracle_majorization)
+    o_reg = osub.add_parser("region", parents=[sampling])
     o_reg.add_argument("--region", choices=("ball", "half-ball", "reachable"), default="ball")
     o_reg.add_argument("--gammas")
     o_reg.set_defaults(func=_cmd_oracle_region)

@@ -35,6 +35,10 @@ from .schmidt import EPS_NORM, SchmidtVector, sorted_region_volume
 
 _CHUNK = 1 << 19
 _BLOCK = 1 << 15
+#: The most samples a run may take.  2^30 puts the relative standard error
+#: near 3e-5 and takes seconds to minutes; the plan lists every chunk before
+#: it draws, so a count like 10^15 would hold 1.9e9 entries and never end.
+MAX_SAMPLES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.samples < 1_000:
             raise InconsistentInput("need at least 1000 samples")
+        if self.samples > MAX_SAMPLES:
+            raise InconsistentInput(f"at most 2^30 samples, got {self.samples}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DimensionTooLarge,
     EmptyInput,
     IndexOutOfRange,
     NegativeComponent,
@@ -149,6 +150,10 @@ def sorted_region_volume(d: int) -> float:
     """Intrinsic (d-1)-volume of the set of sorted normalized vectors.
 
     The full probability simplex has intrinsic volume sqrt(d)/(d-1)! and the
-    sorted chamber is one of d! congruent pieces.
+    sorted chamber is one of d! congruent pieces.  From d = 99 on, d!(d-1)!
+    exceeds the largest float.
     """
-    return math.sqrt(d) / (math.factorial(d) * math.factorial(d - 1))
+    try:
+        return math.sqrt(d) / (math.factorial(d) * math.factorial(d - 1))
+    except OverflowError as exc:
+        raise DimensionTooLarge(f"d={d}: d!(d-1)! exceeds the float range") from exc

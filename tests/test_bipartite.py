@@ -207,6 +207,9 @@ def test_accessible_engine_matches_enumeration_and_hull(d):
             assert rep.dimension == dim
             e_a = hull * math.sqrt(k) / sorted_region_volume(k) if dim == k - 1 else 0.0
             assert rep.entanglement == pytest.approx(e_a, rel=1e-12, abs=0.0), (lam, k)
+            # a lower-dimensional set lies in mu_k = 0 and takes no Jacobian
+            volume = hull * math.sqrt(k) if dim == k - 1 else hull
+            assert rep.volume == pytest.approx(volume, rel=1e-12, abs=0.0), (lam, k)
 
 
 @pytest.mark.parametrize("d", range(9, MAX_ACCESSIBLE_DIM + 1))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from entvol import oracle
 from entvol.bipartite import MAX_ACCESSIBLE_DIM
 from entvol.cli import main
 
@@ -413,6 +415,34 @@ def test_rank_caps(capsys, argv, expected):
         assert json.loads(out)["E_s"] == pytest.approx(1.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("command,rank", [
+    ("accessible", MAX_ACCESSIBLE_DIM + 1),
+    ("source", 17),
+    ("source", 99),
+    ("accessible", 99),
+])
+def test_oracle_refuses_over_cap_rank_before_sampling(capsys, monkeypatch, command, rank):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the engine's rank cap was checked")
+
+    monkeypatch.setattr(oracle, "_hit_fraction", no_sampling)
+    code, out, err = run(capsys, "oracle", command, "--schmidt", ",".join(["1"] * rank))
+    assert (code, err) == (2, "")
+    assert json.loads(out)["error"] == "bipartite.DimensionTooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "region", "--samples", "1000000000000000"],
+    ["oracle", "source", "--schmidt", "0.5,0.5", "--samples", str(2 ** 30 + 1)],
+    ["fourqubit", "measures", "--gammas", "0,0,0;0,0,0;0,0,0;0,0,0",
+     "--mc-samples", "1000000000000000"],
+])
+def test_sample_count_over_cap_is_domain_error(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "polytope.InconsistentInput"
+
+
 ZERO_GAMMAS = "0,0,0;0,0,0;0,0,0;0,0,0"
 RAGGED_GAMMAS = "0,0;0,0,0;0,0,0;0,0,0"
 #: Payloads that ``json.loads`` accepts but no polytope has.
@@ -545,3 +575,121 @@ def test_edge_vertex_sets_exit_cleanly(name):
         assert payload["error"] == "polytope.InconsistentInput"
     elif dimension is not None:
         assert payload["dimension"] == dimension
+
+
+RECT_FROM = "0,0.3,0;0.1,0,0;0,0,0;0,0,0"
+RECT_TO = "0,0.42,0;0.33,0,0;0,0,0;0,0,0"
+CASE_III = "0.05,0.04,0.03;0,0,0;0,0,0;0,0,0"
+SQUARE = '{"A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": [0, 0, 1, 1]}'
+
+#: One fixed input per command and output mode, with the exact stdout it
+#: prints; the Monte-Carlo rows sample 20000 points at seed 3.  The polytope
+#: rows read SQUARE from stdin.
+RENDERINGS = [
+    pytest.param(("bipartite", "source", "--schmidt", "0.4,0.3,0.2,0.1"),
+                 'E_s = 0.904  (V_s = 0.00133333333333, dim 3, k = 4)\n',
+                 id="source"),
+    pytest.param(("bipartite", "source", "--schmidt", "0.4,0.3,0.2,0.1", "--json"),
+                 '{"E_s": 0.904, "V_s": 0.00133333333333, "dimension": 3, "v_sup": 0.0138888888889, "k": 4, "schmidt": [0.4, 0.3, 0.2, 0.1]}\n',
+                 id="source_json"),
+    pytest.param(("bipartite", "source", "--schmidt", "0.5,0.3,0.2", "--k", "4"),
+                 'E_s = 0.618923076923  (V_s = 0.00561111111111, dim 3, k = 4)\n',
+                 id="source_k"),
+    pytest.param(("bipartite", "source", "--schmidt", "0.5,0.3,0.2", "--k", "4", "--json"),
+                 '{"E_s": 0.618923076923, "V_s": 0.00561111111111, "dimension": 3, "v_sup": 0.962962962963, "k": 4, "schmidt": [0.5, 0.3, 0.2]}\n',
+                 id="source_k_json"),
+    pytest.param(("bipartite", "accessible", "--schmidt", "0.4,0.3,0.2,0.1"),
+                 'E_a = 0.696  (V_a = 0.00966666666667, dim 3, 8 vertices)\n',
+                 id="accessible"),
+    pytest.param(("bipartite", "accessible", "--schmidt", "0.4,0.3,0.2,0.1", "--json"),
+                 '{"E_a": 0.696, "V_a": 0.00966666666667, "dimension": 3, "v_sup": 0.0138888888889, "k": 4, "schmidt": [0.4, 0.3, 0.2, 0.1], "vertices": 8}\n',
+                 id="accessible_json"),
+    pytest.param(("bipartite", "accessible", "--schmidt", "0.5,0.3,0.2", "--k", "2"),
+                 'E_a = 1  (V_a = 0.707106781187, dim 1)\n',
+                 id="accessible_k"),
+    pytest.param(("bipartite", "accessible", "--schmidt", "0.5,0.3,0.2", "--k", "2", "--json"),
+                 '{"E_a": 1.0, "V_a": 0.707106781187, "dimension": 1, "v_sup": 0.707106781187, "k": 2, "schmidt": [0.5, 0.3, 0.2]}\n',
+                 id="accessible_k_json"),
+    pytest.param(("bipartite", "convert", "--from", "0.6,0.4", "--to", "0.7,0.3"),
+                 'convertible\n',
+                 id="bipartite_convert"),
+    pytest.param(("bipartite", "convert", "--from", "0.6,0.4", "--to", "0.7,0.3", "--json"),
+                 '{"convertible": true, "from": [0.6, 0.4], "to": [0.7, 0.3]}\n',
+                 id="bipartite_convert_json"),
+    pytest.param(("fourqubit", "classify", "--gammas", "0.15,0.2,0.1;0.3,0,0;0.1,0,0;0,0,0"),
+                 'class: general_plus_axes (axis x)\n',
+                 id="classify"),
+    pytest.param(("fourqubit", "classify", "--gammas", "0.15,0.2,0.1;0.3,0,0;0.1,0,0;0,0,0", "--json"),
+                 '{"tag": "general_plus_axes", "axis": "x", "roles": {"general_party": 0}, "standard_gammas": [[0.15, 0.2, 0.1], [0.3, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0]]}\n',
+                 id="classify_json"),
+    pytest.param(("fourqubit", "classify", "--gammas", "1e-7,1e-7,0;1e-7,0,1e-7;0,0,0;0,0,0"),
+                 'class: isolated\nnote: nearly axis-aligned: off-axis components are below 1e-6 but above the alignment tolerance 1e-10; treating as isolated\n',
+                 id="classify_note"),
+    pytest.param(("fourqubit", "classify", "--gammas", "1e-7,1e-7,0;1e-7,0,1e-7;0,0,0;0,0,0", "--json"),
+                 '{"tag": "isolated", "axis": null, "roles": {}, "standard_gammas": [[1e-07, 1e-07, 0.0], [1e-07, 0.0, 1e-07], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "diagnostic": "nearly axis-aligned: off-axis components are below 1e-6 but above the alignment tolerance 1e-10; treating as isolated"}\n',
+                 id="classify_note_json"),
+    pytest.param(("fourqubit", "measures", "--gammas", CASE_III, "--mc-samples", "20000", "--mc-seed", "3"),
+                 'class general_one_party: E_s = 0.997505846837 (V_s = 4e-05, dim 3), E_a = 0.552426807472 (V_a = 0.144625, dim 3)\n',
+                 id="measures"),
+    pytest.param(("fourqubit", "measures", "--gammas", CASE_III, "--mc-samples", "20000", "--mc-seed", "3", "--json"),
+                 '{"class": "general_one_party", "E_s": 0.997505846837, "V_s": 4e-05, "V_s_dim": 3, "V_s_sup": 0.0160375074775, "E_a": 0.552426807472, "V_a": 0.144625, "V_a_dim": 3, "V_a_sup": 0.261799387799, "V_a_abs_err": 0.00160306128041, "V_s_sup_symbolic": "1/(36*sqrt(3))", "V_a_sup_symbolic": "pi/12"}\n',
+                 id="measures_json"),
+    pytest.param(("fourqubit", "convert", "--from-gammas", RECT_FROM, "--to-gammas", RECT_TO),
+                 'convertible via axis_rectangle\n',
+                 id="convert"),
+    pytest.param(("fourqubit", "convert", "--from-gammas", RECT_FROM, "--to-gammas", RECT_TO, "--json"),
+                 '{"convertible": true, "row": "axis_rectangle"}\n',
+                 id="convert_json"),
+    pytest.param(("fourqubit", "convert", "--from-gammas", RECT_TO, "--to-gammas", RECT_FROM),
+                 'not convertible (no transformation row applies)\n',
+                 id="convert_refused"),
+    pytest.param(("fourqubit", "convert", "--from-gammas", RECT_TO, "--to-gammas", RECT_FROM, "--json"),
+                 '{"convertible": false, "row": null, "detail": "no transformation row applies"}\n',
+                 id="convert_refused_json"),
+    pytest.param(("fourqubit", "witness", "--from-gammas", ZERO_GAMMAS, "--to-gammas", ZERO_GAMMAS),
+                 "row identity: 1 outcomes, p = ['1']\ncompleteness residual 0.00e+00, eta residual 0.00e+00, outcome mismatch 0.00e+00\n",
+                 id="witness"),
+    pytest.param(("fourqubit", "witness", "--from-gammas", ZERO_GAMMAS, "--to-gammas", ZERO_GAMMAS, "--json"),
+                 '{"row": "identity", "outcomes": 1, "probabilities": [1.0], "pauli_patterns": [0], "completeness_residual": 0.0, "eta_residual": 0.0, "outcome_mismatch": 0.0}\n',
+                 id="witness_json"),
+    pytest.param(("polytope", "vertices", "--input", "-"),
+                 '-0 0\n-0 1\n1 -0\n1 1\n',
+                 id="vertices"),
+    pytest.param(("polytope", "vertices", "--input", "-", "--json"),
+                 '{"vertices": [[-0.0, 0.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 1.0]], "count": 4}\n',
+                 id="vertices_json"),
+    pytest.param(("polytope", "volume", "--input", "-"),
+                 'volume = 1 (dimension 2, 4 vertices), simple = True\n',
+                 id="volume"),
+    pytest.param(("polytope", "volume", "--input", "-", "--json"),
+                 '{"volume": 1.0, "dimension": 2, "vertices": 4, "simple": true, "brion_volume": 1.0}\n',
+                 id="volume_json"),
+    pytest.param(("bipartite", "sweep", "--from-schmidt", "0.5,0.5", "--to-schmidt", "1,0", "--steps", "3"),
+                 'step,lambda_1,lambda_2,V_s,V_a,E_s,E_a,accessible_vertices,V_a_dim\n0,0.5,0.5,0,0.707106781187,1,1,2,1\n1,0.75,0.25,0.353553390593,0.353553390593,0.5,0.5,2,1\n2,1,0,0.707106781187,0,1.11022302463e-16,0,1,0\n',
+                 id="bipartite_sweep"),
+    pytest.param(("fourqubit", "sweep", "--from-gammas", ZERO_GAMMAS, "--to-gammas", "0.4,0,0;0,0,0;0,0,0;0,0,0", "--steps", "3"),
+                 'step,class,gamma_1x,gamma_1y,gamma_1z,gamma_2x,gamma_2y,gamma_2z,gamma_3x,gamma_3y,gamma_3z,gamma_4x,gamma_4y,gamma_4z,V_s,V_s_dim,V_a,V_a_dim,E_s,E_a\n0,seed,0,0,0,0,0,0,0,0,0,0,0,0,0,0,7.59218224618,3,1,1\n1,axis_only,0.2,0,0,0,0,0,0,0,0,0,0,0,0.2,1,0.409977841293,3,0.6,0.569454545455\n2,axis_only,0.4,0,0,0,0,0,0,0,0,0,0,0,0.4,1,0.125140107368,3,0.2,0.173818181818\n',
+                 id="fourqubit_sweep"),
+    pytest.param(("oracle", "source", "--schmidt", "0.5,0.3,0.2", "--samples", "20000", "--seed", "3"),
+                 '{"estimate": 0.0187999681405, "stderr": 0.000343518766924, "samples": 20000, "seed": 3, "convention": "intrinsic", "closed_form": 0.0187638837487}\n',
+                 id="oracle_source"),
+    pytest.param(("oracle", "accessible", "--schmidt", "0.5,0.3,0.2", "--samples", "20000", "--seed", "3"),
+                 '{"estimate": 0.103858096549, "stderr": 0.000458482321429, "samples": 20000, "seed": 3, "convention": "intrinsic", "polytope_value": 0.103923048454}\n',
+                 id="oracle_accessible"),
+    pytest.param(("oracle", "region", "--samples", "20000", "--seed", "3"),
+                 '{"estimate": 0.52205, "stderr": 0.00353209426191, "samples": 20000, "seed": 3, "convention": "intrinsic"}\n',
+                 id="oracle_ball"),
+    pytest.param(("oracle", "region", "--region", "half-ball", "--samples", "20000", "--seed", "3"),
+                 '{"estimate": 0.262675, "stderr": 0.0017654934774, "samples": 20000, "seed": 3, "convention": "intrinsic"}\n',
+                 id="oracle_half_ball"),
+    pytest.param(("oracle", "region", "--region", "reachable", "--gammas", CASE_III, "--samples", "20000", "--seed", "3"),
+                 '{"estimate": 0.144625, "stderr": 0.00160306128041, "samples": 20000, "seed": 3, "convention": "intrinsic"}\n',
+                 id="oracle_reachable"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", RENDERINGS)
+def test_every_rendering_is_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(SQUARE))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")

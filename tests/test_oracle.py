@@ -24,6 +24,19 @@ from entvol.schmidt import canonicalize, maximally_entangled, separable, sorted_
 def test_config_validation():
     with pytest.raises(errors.InconsistentInput):
         McConfig(samples=10)
+    # refused before any chunk is listed; no run of this size is started
+    assert McConfig(samples=oracle.MAX_SAMPLES).samples == 2 ** 30
+    with pytest.raises(errors.InconsistentInput):
+        McConfig(samples=oracle.MAX_SAMPLES + 1)
+
+
+def test_rank_past_the_float_range_is_refused():
+    # d!(d-1)! overflows a float from d = 99; d = 98 keeps its value
+    assert sorted_region_volume(98) == math.sqrt(98) / (math.factorial(98) * math.factorial(97))
+    with pytest.raises(errors.DimensionTooLarge):
+        sorted_region_volume(99)
+    with pytest.raises(errors.DimensionTooLarge):
+        mc_source_volume(maximally_entangled(99), McConfig(samples=1_000, seed=0))
 
 
 def test_source_separable_is_whole_region():
