@@ -134,7 +134,7 @@ def _mc_config(samples: int, seed: str | None) -> oracle.McConfig:
         value = int(text)
     except ValueError as exc:
         raise UsageError(f"bad Monte-Carlo seed {text!r}: {exc}") from exc
-    if not -2 ** 63 <= value < 2 ** 64:
+    if not oracle.MIN_SEED <= value <= oracle.MAX_SEED:
         raise UsageError(f"Monte-Carlo seed {text!r} is outside [-2^63, 2^64)")
     return oracle.McConfig(samples=samples, seed=value)
 
@@ -354,12 +354,18 @@ def _cmd_polytope_volume(args) -> int:
 
 # -- oracle -------------------------------------------------------------------
 
+def _sampled_accessible_volume(lam) -> float:
+    """The engine's accessible volume as a (d-1)-volume, the measure the
+    oracle samples: 0 for a set of lower dimension (a zero-padded lam)."""
+    volume, dim = bipartite.accessible_volume(lam)
+    return volume if dim == lam.d - 1 else 0.0
+
+
 #: Per majorization oracle: its Monte-Carlo estimate, the engine value it is
 #: checked against and the payload key of that value.
 _MAJORIZATION_ORACLES = {
     "source": (oracle.mc_source_volume, bipartite.source_volume, "closed_form"),
-    "accessible": (oracle.mc_accessible_volume, lambda lam: bipartite.accessible_volume(lam)[0],
-                   "polytope_value"),
+    "accessible": (oracle.mc_accessible_volume, _sampled_accessible_volume, "polytope_value"),
 }
 
 

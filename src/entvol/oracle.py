@@ -2,8 +2,21 @@
 
 Sorted Schmidt vectors are sampled uniformly by normalizing exponential
 variates (uniform on the simplex) and sorting; hit fractions against the
-majorization predicate are then scaled by the sorted-region volume.  Regions
-in a box [lo, hi) are sampled as ``lo + (hi - lo) * U``, with U read
+majorization predicate are then scaled by the sorted-region volume.  Each
+block of n draws, read row-major from ``Generator.exponential``, is copied
+into an (n, d) Fortran-ordered array, so that each coordinate column is
+contiguous.  Its rows are sorted in descending order by Batcher's odd-even
+merge network, built once per rank: a fixed sequence of in-place
+``np.maximum``/``np.minimum`` calls on whole columns.  Each column is then
+divided by the row sums, and the predicate forms the partial sums as running
+column adds.  The estimates are those of normalizing, sorting and ``cumsum``
+row by row, bit for bit: a min or max is exact; ``fl(a / s)`` is monotone in
+a, so sorting before dividing gives the same values; ``cumsum`` adds in
+sequence, as the running adds do; and the row sums are numpy's own
+``x.sum(axis=1)`` (from d = 8 it sums a row pairwise, so a sequential column
+sum would differ).
+
+Regions in a box [lo, hi) are sampled as ``lo + (hi - lo) * U``, with U read
 row-major from ``Generator.random``.  That is the arithmetic of
 ``Generator.uniform(lo, hi)``, whose C loop computes ``lower + range *
 next_double``: the bits agree wherever the compiler does not contract that
@@ -22,6 +35,7 @@ workers.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -35,10 +49,21 @@ from .schmidt import EPS_NORM, SchmidtVector, sorted_region_volume
 
 _CHUNK = 1 << 19
 _BLOCK = 1 << 15
+_SLAB = 1 << 11
 #: The most samples a run may take.  2^30 puts the relative standard error
 #: near 3e-5 and takes seconds to minutes; the plan lists every chunk before
 #: it draws, so a count like 10^15 would hold 1.9e9 entries and never end.
 MAX_SAMPLES = 1 << 30
+#: The seeds one 64-bit Philox key word holds, [-2^63, 2^64).
+MIN_SEED = -(1 << 63)
+MAX_SEED = (1 << 64) - 1
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int; a bool or a value of any other type is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InconsistentInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -47,10 +72,15 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.samples < 1_000:
+        samples, seed = _integer("samples", self.samples), _integer("seed", self.seed)
+        if samples < 1_000:
             raise InconsistentInput("need at least 1000 samples")
-        if self.samples > MAX_SAMPLES:
-            raise InconsistentInput(f"at most 2^30 samples, got {self.samples}")
+        if samples > MAX_SAMPLES:
+            raise InconsistentInput(f"at most 2^30 samples, got {samples}")
+        if not MIN_SEED <= seed <= MAX_SEED:
+            raise InconsistentInput(f"seed {seed} is outside [-2^63, 2^64)")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -71,18 +101,57 @@ class McResult:
 
 
 def _rng(seed: int, chunk: int) -> np.random.Generator:
-    # a seed in [-2^63, 2^64) is one 64-bit key word, negative seeds wrapping
-    # to their two's complement; a plain list would pass through float64
+    # the seed is one 64-bit key word, a negative one its two's complement;
+    # a plain list would pass through float64
     key = np.array([seed % 2 ** 64, chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@functools.lru_cache(maxsize=None)
+def _sorting_network(d: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge network on d wires: comparators (i, j), i < j,
+    that leave the larger value on wire i.  It is the network of the next
+    power of two with the comparators that touch a wire past d dropped; those
+    wires would hold values below every other, which no comparator moves."""
+    n = 1 << (d - 1).bit_length()
+    net = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(j, j + min(k, n - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < d:
+                        net.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(net)
+
+
+def _sort_rows_descending(pts: np.ndarray) -> np.ndarray:
+    """Sort each row of the Fortran-ordered (n, d) array pts in descending
+    order, in place, one comparator of the network at a time; returns pts."""
+    cols = list(pts.T)
+    low = np.empty(len(pts))
+    for i, j in _sorting_network(pts.shape[1]):
+        np.minimum(cols[i], cols[j], out=low)
+        np.maximum(cols[i], cols[j], out=cols[i])
+        cols[j][:] = low
+    return pts
+
+
 def _sorted_simplex(g: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """The next n sorted probability vectors of g, uniform on the sorted region."""
+    """The next n sorted probability vectors of g, uniform on the sorted
+    region, as the rows of an (n, d) Fortran-ordered array."""
     x = g.exponential(size=(n, d))
-    x /= x.sum(axis=1, keepdims=True)
-    x.sort(axis=1)
-    return x[:, ::-1]
+    pts = np.empty((n, d), order="F")
+    # a slab of rows at a time: numpy's transposing copy of the whole block
+    # in one piece runs 2-3x slower from d = 8
+    for start in range(0, n, _SLAB):
+        pts[start:start + _SLAB] = x[start:start + _SLAB]
+    _sort_rows_descending(pts)
+    pts /= x.sum(axis=1, keepdims=True)
+    return pts
 
 
 def _workers() -> int:
@@ -154,12 +223,16 @@ def _hit_fraction(draw, predicate, scale: float, cfg: McConfig) -> McResult:
 def _mc_majorization(lam: SchmidtVector, cfg: McConfig, accessible: bool) -> McResult:
     d = lam.d
     E = np.cumsum(lam.as_array())[: d - 1]
+    bounds, within = (E - EPS_NORM, np.greater_equal) if accessible else (E + EPS_NORM, np.less_equal)
 
     def predicate(pts: np.ndarray) -> np.ndarray:
-        partial = np.cumsum(pts[:, : d - 1], axis=1)
-        if accessible:
-            return np.all(partial >= E - EPS_NORM, axis=1)
-        return np.all(partial <= E + EPS_NORM, axis=1)
+        # 0 + x is x, so the running sum has the bits of cumsum's partial sums
+        partial = np.zeros(len(pts))
+        hit = np.ones(len(pts), dtype=bool)
+        for j, bound in enumerate(bounds):
+            partial += pts[:, j]
+            hit &= within(partial, bound)
+        return hit
 
     return _hit_fraction(lambda g, n: _sorted_simplex(g, d, n),
                          predicate, sorted_region_volume(d), cfg)

@@ -312,6 +312,15 @@ def test_oracle_subcommands(capsys):
     assert payload["estimate"] == pytest.approx(math.pi / 12, abs=5 * payload["stderr"])
 
 
+@pytest.mark.parametrize("schmidt", ["0.5,0.5,0,0", "0.5,0.3,0.2,0"])
+def test_oracle_accessible_zero_padded_reports_sampled_volume(capsys, schmidt):
+    # the accessible set of a zero-padded lam has a lower dimension than the
+    # sorted region sampled: its volume there, like the estimate, is 0
+    code, out, _ = run(capsys, "oracle", "accessible", "--schmidt", schmidt, "--samples", "1000")
+    payload = json.loads(out)
+    assert (code, payload["estimate"], payload["polytope_value"]) == (0, 0.0, 0.0)
+
+
 def test_oracle_region_reachable_matches_measures(capsys):
     # the reachable region's estimate is the accessible volume the measures print
     gammas = "0.05,0.04,0.03;0,0,0;0,0,0;0,0,0"

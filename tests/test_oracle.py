@@ -30,6 +30,54 @@ def test_config_validation():
         McConfig(samples=oracle.MAX_SAMPLES + 1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("samples", 2000.0), ("samples", True), ("samples", "2000"), ("samples", np.float64(2000)),
+    ("seed", 5.7), ("seed", 5.0), ("seed", False), ("seed", np.bool_(True)),
+    ("seed", 2 ** 64 + 5), ("seed", 2 ** 64), ("seed", -2 ** 63 - 1),
+])
+def test_config_refuses_what_is_no_integer_or_key_word(field, value):
+    with pytest.raises(errors.InconsistentInput):
+        McConfig(**{field: value})
+
+
+def test_config_accepts_python_and_numpy_ints():
+    for samples, seed in [(2_000, -2 ** 63), (np.int64(2_000), np.uint64(2 ** 64 - 1)),
+                          (np.int32(2_000), np.int8(-5))]:
+        cfg = McConfig(samples=samples, seed=seed)
+        assert (cfg.samples, cfg.seed) == (int(samples), int(seed))
+        assert type(cfg.samples) is int and type(cfg.seed) is int
+    assert (oracle.MIN_SEED, oracle.MAX_SEED) == (-2 ** 63, 2 ** 64 - 1)
+
+
+def _tied_draws(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """Exponential draws rounded to one decimal, with column 0 repeated in
+    the middle column: many rows hold equal entries."""
+    x = np.round(rng.exponential(size=(n, d)), 1)
+    x[:, d // 2] = x[:, 0]
+    return x
+
+
+@pytest.mark.parametrize("d", list(range(1, 18)) + [32])
+def test_sorting_network_sorts_rows_descending(d):
+    x = _tied_draws(np.random.default_rng(d), 4_000, d)
+    pts = oracle._sort_rows_descending(np.asfortranarray(x))
+    assert np.array_equal(pts, np.sort(x, axis=1)[:, ::-1])
+    if d <= 12:  # every 0-1 row: by the 0-1 principle the network sorts every input
+        bits = (np.arange(2 ** d)[:, None] >> np.arange(d) & 1).astype(float)
+        pts = oracle._sort_rows_descending(np.asfortranarray(bits))
+        assert np.array_equal(pts, np.sort(bits, axis=1)[:, ::-1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16])
+def test_sorted_simplex_is_the_row_wise_route(d):
+    # dividing each row by its sum, sorting it and reading it backwards
+    pts = oracle._sorted_simplex(oracle._rng(3, 1), d, 5_000)
+    x = oracle._rng(3, 1).exponential(size=(5_000, d))
+    x /= x.sum(axis=1, keepdims=True)
+    assert pts.flags.f_contiguous
+    assert np.array_equal(pts, np.sort(x, axis=1)[:, ::-1])
+
+
 def test_rank_past_the_float_range_is_refused():
     # d!(d-1)! overflows a float from d = 99; d = 98 keeps its value
     assert sorted_region_volume(98) == math.sqrt(98) / (math.factorial(98) * math.factorial(97))
@@ -134,16 +182,27 @@ def test_result_records_audit_fields():
 #: Estimates and standard errors at 1,100,000 samples, seed 2024: two full
 #: chunks and a ragged third.  They were taken from the single-threaded loop
 #: that drew each chunk in one piece, so they pin the sampling plan, not the
-#: way it is carried out.
-GUARD_LAMS = {2: [0.7, 0.3], 5: [0.4, 0.25, 0.15, 0.12, 0.08],
-              8: [0.3, 0.2, 0.15, 0.1, 0.1, 0.07, 0.05, 0.03]}
+#: way it is carried out; the ranks 1, 3 and 16 were taken from the row-wise
+#: sort and cumsum that the comparator network replaced.
+GUARD_LAMS = {1: [1.0], 2: [0.7, 0.3], 3: [0.55, 0.3, 0.15],
+              5: [0.4, 0.25, 0.15, 0.12, 0.08],
+              8: [0.3, 0.2, 0.15, 0.1, 0.1, 0.07, 0.05, 0.03],
+              # the mean sorted Dirichlet(1) vector, sum_{k >= i} 1/k / 16, to 4 places
+              16: [0.2113, 0.1488, 0.1175, 0.0967, 0.0811, 0.0686, 0.0582, 0.0492,
+                   0.0414, 0.0345, 0.0282, 0.0226, 0.0173, 0.0125, 0.0081, 0.0039]}
 GUARD = {
+    "source-d1": (1.0, 0.0),
+    "accessible-d1": (1.0, 0.0),
     "source-d2": (0.28263443738634225, 0.00033024853186107233),
     "accessible-d2": (0.42447234380020527, 0.00033024853186107233),
+    "source-d3": (0.03392562668146349, 5.835467012947944e-05),
+    "accessible-d3": (0.07800133352722115, 6.858514744626122e-05),
     "source-d5": (6.538593094433334e-05, 2.0558372245660917e-07),
     "accessible-d5": (0.0004495992993395884, 3.654822250612843e-07),
     "source-d8": (7.944580704715765e-10, 3.0787452012722907e-12),
     "accessible-d8": (7.279375332889883e-09, 6.628384571855322e-12),
+    "source-d16": (1.9804350386513792e-26, 4.770305710732757e-29),
+    "accessible-d16": (2.743786825757809e-26, 5.44269225739227e-29),
     "half-ball": (0.2615127272727273, 0.00023811276379584183),
     "caseiii": (0.14472363636363636, 0.00021620042733854017),
     "caseiii-zero": (0.1771181818181818, 0.00022801164359924573),
