@@ -63,6 +63,7 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (_I, _X, _Y, _Z)
+_PAULI_STACK = np.stack(PAULI)
 AXIS_NAMES = "xyz"
 
 #: Sign actions of the sigma_k^(x4) symmetries on the three gamma components.
@@ -72,6 +73,7 @@ KLEIN_SIGNS = (
     np.array([-1.0, 1.0, -1.0]),
     np.array([-1.0, -1.0, 1.0]),
 )
+_KLEIN_STACK = np.stack(KLEIN_SIGNS)[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +195,19 @@ class FourQubitForm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gammas", _as_gammas(self.gammas))
 
+    @classmethod
+    def _derived(cls, seed: SeedParams, gammas: np.ndarray) -> "FourQubitForm":
+        """A form whose (4, 3) float gammas come from a validated form's by
+        zeroing components or flipping signs, which never grow a norm; it
+        skips the validation of ``__init__``."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "seed", seed)
+        object.__setattr__(form, "gammas", gammas)
+        return form
+
     def state_vector(self) -> np.ndarray:
         """Apply g^i = sqrt(G^i) per party to the seed vector and normalize."""
-        v = build_seed(self.seed)
-        ops = [sqrt_g(self.gammas[i]) for i in range(4)]
-        v = kron4(*ops) @ v
-        return v / np.linalg.norm(v)
+        return _dressed(build_seed(self.seed), self.gammas)
 
     def to_json(self) -> dict:
         return {
@@ -229,13 +238,41 @@ def gram_matrix(gamma: np.ndarray) -> np.ndarray:
 
 
 def sqrt_g(gamma: np.ndarray) -> np.ndarray:
-    """Positive square root of the Gram operator (2x2 Hermitian)."""
-    w, U = np.linalg.eigh(gram_matrix(gamma))
-    return (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
+    """Positive square root of the Gram operator G = 1/2 + gamma . sigma.
+
+    In closed form: tr G = 1 and det G = 1/4 - |gamma|^2 = s^2, so by
+    Cayley-Hamilton (G + s)^2 = (1 + 2s) G and sqrt(G) = (G + s) / sqrt(1 + 2s).
+    The square misses G by (s^2 - det G) / (1 + 2s) only, however s is
+    rounded, so it holds to rounding up to |gamma| = ``GAMMA_NORM_MAX``.
+    """
+    x, y, z = map(float, gamma)
+    s = math.sqrt(max(0.25 - (x * x + y * y + z * z), 0.0))
+    r = math.sqrt(1.0 + 2.0 * s)
+    a = 0.5 + s
+    return np.array([[(a + z) / r, complex(x, -y) / r],
+                     [complex(x, y) / r, (a - z) / r]])
+
+
+def _inv2(m: np.ndarray) -> np.ndarray:
+    """Inverse of a 2x2 matrix from its adjugate."""
+    (a, b), (c, d) = m.tolist()
+    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
 
 
 def kron4(a, b, c, d) -> np.ndarray:
-    return np.kron(np.kron(a, b), np.kron(c, d))
+    """a (x) b (x) c (x) d of 2x2 operators as one 16x16 matrix.
+
+    Stacks of operators with shape (..., 2, 2) give a stack (..., 16, 16),
+    one product per leading index, all in one einsum.
+    """
+    out = np.einsum("...ai,...bj,...ck,...dl->...abcdijkl", a, b, c, d)
+    return out.reshape(out.shape[:-8] + (16, 16))
+
+
+def _dressed(seed_vec: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """The normalized state g1 (x) g2 (x) g3 (x) g4 applied to a seed vector."""
+    v = kron4(*(sqrt_g(g) for g in gammas)) @ seed_vec
+    return v / np.linalg.norm(v)
 
 
 def standard_form(form: FourQubitForm) -> FourQubitForm:
@@ -243,13 +280,15 @@ def standard_form(form: FourQubitForm) -> FourQubitForm:
 
     The seed symmetries flip two gamma components simultaneously on every
     party, so a class has four sign representatives; picking the largest
-    flattened tuple makes the first two sign-relevant components nonnegative
-    and is idempotent.  Two forms denote the same LU class exactly when their
-    canonical gammas coincide.
+    flattened tuple (of the components rounded to 14 decimals) makes the
+    first two sign-relevant components nonnegative and is idempotent.  Two
+    forms denote the same LU class exactly when their canonical gammas
+    coincide.
     """
-    g = form.gammas
-    signs = max(KLEIN_SIGNS, key=lambda s: tuple(np.round(g * s, 14).ravel()))
-    return FourQubitForm(form.seed, g * signs)
+    variants = form.gammas * _KLEIN_STACK
+    keys = np.round(variants, 14).reshape(4, 12).tolist()
+    # max keeps the first of equal keys, as over KLEIN_SIGNS
+    return FourQubitForm._derived(form.seed, variants[max(range(4), key=keys.__getitem__)])
 
 
 # ---------------------------------------------------------------------------
@@ -290,28 +329,29 @@ def _classify_at(g: np.ndarray):
     component decides; only a ``two_axes`` state fits two axes, and it takes
     the smaller.
     """
-    active = [j for j in range(4) if g[j].any()]
+    rows = g.tolist()
+    active = [j for j in range(4) if any(rows[j])]
     if not active:
         return TAG_SEED, None, {}
     if len(active) == 1:
         i = active[0]
-        comps = np.flatnonzero(g[i])
+        comps = [u for u in range(3) if rows[i][u]]
         if len(comps) > 1:
             return TAG_GENERAL_ONE, None, {"party": i}
-        ax = int(comps[0])
-        return TAG_AXIS_ONLY, ax, {"party": i, "value": abs(g[i][ax])}
+        ax = comps[0]
+        return TAG_AXIS_ONLY, ax, {"party": i, "value": abs(g[i, ax])}
     for w in range(3):
-        off = [j for j in active if np.delete(g[j], w).any()]
+        off = [j for j in active if any(rows[j][u] for u in range(3) if u != w)]
         if not off:
-            return TAG_MES, w, {"axis_values": tuple(g[j][w] for j in range(4))}
+            return TAG_MES, w, {"axis_values": tuple(g[j, w] for j in range(4))}
         if len(off) > 1:
             continue
         i = off[0]
-        if np.count_nonzero(g[:, w]) >= 2:
+        if sum(1 for r in rows if r[w]) >= 2:
             return TAG_GENERAL_PLUS_AXES, w, {"general_party": i}
         # one axis party j on w; i lies off w entirely
         j = next(j for j in active if j != i)
-        trans = [u for u in range(3) if u != w and g[i][u] != 0]
+        trans = [u for u in range(3) if u != w and rows[i][u]]
         if len(trans) == 2:
             return TAG_AXIS_TRANSVERSE, w, {"axis_party": j, "transverse_party": i}
         return TAG_TWO_AXES, w, {"parties": ((i, trans[0]), (j, w))}
@@ -330,7 +370,7 @@ def classify(form: FourQubitForm) -> Classified:
     the diagnostic records the near-miss instead of silently reclassifying.
     """
     zeroed = np.where(np.abs(form.gammas) <= AXIS_TOL, 0.0, form.gammas)
-    sf = standard_form(FourQubitForm(form.seed, zeroed))
+    sf = standard_form(FourQubitForm._derived(form.seed, zeroed))
     g = sf.gammas
     decision = _classify_at(g)
     if decision is not None:
@@ -449,7 +489,7 @@ def _reproduces(gi: np.ndarray, zf: np.ndarray, steps) -> bool:
     eta = 1.0
     for _, _, probs in steps:
         eta = eta * _probs_to_eta(probs)
-    return float(np.max(np.abs(gi - eta * zf))) <= CONVERT_TOL
+    return float(np.abs(gi - eta * zf).max()) <= CONVERT_TOL
 
 
 # Each condition takes its candidate twirls from the target's classification.
@@ -534,10 +574,11 @@ def _decide(initial: FourQubitForm, final: FourQubitForm):
     ci = classify(initial)
     cf = classify(final)
     gi = ci.gammas
+    variants = cf.gammas * _KLEIN_STACK
 
-    for signs in KLEIN_SIGNS:
-        zf = cf.gammas * signs
-        if _reproduces(gi, zf, []):
+    # the identity row's _reproduces under the four signs, in one call
+    for zf, gap in zip(variants, np.abs(gi - variants).max(axis=(1, 2)).tolist()):
+        if gap <= CONVERT_TOL:
             return Verdict(True, ROW_IDENTITY), (gi, zf, [])
 
     if ci.tag == TAG_ISOLATED or cf.tag == TAG_ISOLATED:
@@ -545,8 +586,7 @@ def _decide(initial: FourQubitForm, final: FourQubitForm):
     if cf.tag in (TAG_SEED, TAG_MES):
         return Verdict(False, detail="target cannot be reached by any other class"), None
 
-    for signs in KLEIN_SIGNS:
-        zf = cf.gammas * signs
+    for zf in variants:
         for finals, initials, condition in _ROW_CONDITIONS:
             if cf.tag in finals and (initials is None or ci.tag in initials):
                 for row, steps in condition(ci, cf, zf):
@@ -745,71 +785,69 @@ class PovmWitness:
 
 
 def _twirl(party: int, gamma_new: np.ndarray, probs):
-    """Outcomes ``(ops, k)`` of a Pauli twirl of one party: sqrt(p_k) h sigma_k
-    g^-1 on ``party`` and sigma_k on the others, for each pattern k with
-    p_k > 1e-14, where h is the square root of the new G and g that of the G
-    whose gamma is eta(probs) (.) gamma_new, so sum_k M_k^dag M_k = 1."""
+    """Outcomes ``(ops, ks)`` of a Pauli twirl of one party, for each pattern
+    k with p_k > 1e-14: ``ops`` stacks, per outcome, the four single-party
+    operators, sqrt(p_k) h sigma_k g^-1 on ``party`` and sigma_k on the
+    others, in an (m, 4, 2, 2) array, where h is the square root of the new G
+    and g that of the G whose gamma is eta(probs) (.) gamma_new, so
+    sum_k M_k^dag M_k = 1."""
+    ks = [k for k in range(4) if probs[k] > 1e-14]
     h = sqrt_g(gamma_new)
-    ginv = np.linalg.inv(sqrt_g(_probs_to_eta(probs) * gamma_new))
-    outcomes = []
-    for k in range(4):
-        if probs[k] <= 1e-14:
-            continue
-        ops = [PAULI[k].copy() for _ in range(4)]
-        ops[party] = math.sqrt(probs[k]) * (h @ PAULI[k] @ ginv)
-        outcomes.append((tuple(ops), k))
-    return outcomes
+    ginv = _inv2(sqrt_g(_probs_to_eta(probs) * gamma_new))
+    paulis = _PAULI_STACK[ks]
+    ops = np.repeat(paulis[:, None], 4, axis=1)
+    ops[:, party] = np.sqrt(probs[ks])[:, None, None] * (h @ paulis @ ginv)
+    return ops, ks
 
 
 def povm_witness(initial: FourQubitForm, final: FourQubitForm) -> PovmWitness:
     """Construct the local POVM implementing initial -> final and measure it.
 
-    One check is enforced: the outcome operators must resolve the identity to
-    1e-12, or :class:`CompletenessViolation` is raised.  Two are only
-    reported: the eta residual, max |gamma - eta (.) zeta| over the parties
-    with eta the twirl character of the outcome probabilities on the initial
-    state vector, which the acceptance of :func:`can_convert` bounds by
-    CONVERT_TOL plus rounding; and the outcome mismatch, the largest
-    1 - |<target|outcome>| over the normalized outcomes of the initial state.
+    The outcomes are composed as one (n, 4, 2, 2) stack of single-party
+    operators, and their n 16x16 operators are built, checked and applied in
+    batched calls.  One check is enforced: the outcome operators must resolve
+    the identity to 1e-12, or :class:`CompletenessViolation` is raised.  Two
+    are only reported: the eta residual, max |gamma - eta (.) zeta| over the
+    parties with eta the twirl character of the outcome probabilities on the
+    initial state vector, which the acceptance of :func:`can_convert` bounds
+    by CONVERT_TOL plus rounding; and the outcome mismatch, the largest
+    1 - |<target|outcome>| over the normalized outcomes of the initial state,
+    floored at 0.
     """
     verdict, basis = _decide(initial, final)
     if not verdict:
         raise NotConvertible(verdict.detail or "states are not LOCC related")
     gi, zf, steps = basis
-    outcomes = _twirl(*steps[0]) if steps else [(tuple(_I.copy() for _ in range(4)), 0)]
+    ops, ks = _twirl(*steps[0]) if steps else (np.array([[_I] * 4]), [0])
     for step in steps[1:]:
         # later twirls act after earlier ones; Pauli labels multiply by XOR
-        outcomes = [(tuple(b[q] @ a[q] for q in range(4)), ka ^ kb)
-                    for a, ka in outcomes for b, kb in _twirl(*step)]
+        later, kl = _twirl(*step)
+        ops = (later[None] @ ops[:, None]).reshape(-1, 4, 2, 2)
+        ks = [ka ^ kb for ka in ks for kb in kl]
 
-    mats = [kron4(*ops) for ops, _ in outcomes]
-    total = sum(m.conj().T @ m for m in mats)
-    comp_res = float(np.max(np.abs(total - np.eye(16))))
+    mats = kron4(*ops.transpose(1, 0, 2, 3))
+    # sum_n M_n^dag M_n as one product of the stacked rows of every M_n
+    rows = mats.reshape(-1, 16)
+    comp_res = float(np.max(np.abs(rows.conj().T @ rows - np.eye(16))))
     if comp_res > 1e-12:
         raise CompletenessViolation(f"sum M^dag M deviates from identity by {comp_res}")
 
-    psi = FourQubitForm(initial.seed, gi).state_vector()
-    phi = FourQubitForm(initial.seed, zf).state_vector()
-    probs = []
-    mismatch = 0.0
-    for m in mats:
-        out = m @ psi
-        norm = np.linalg.norm(out)
-        probs.append(float(norm ** 2))
-        mismatch = max(mismatch, 1.0 - abs(np.vdot(phi, out)) / norm)
+    seed = build_seed(initial.seed)
+    psi, phi = _dressed(seed, gi), _dressed(seed, zf)
+    outs = mats @ psi
+    norms = np.linalg.norm(outs, axis=1)
+    probs = norms ** 2
+    mismatch = max(0.0, float(np.max(1.0 - np.abs(outs @ phi.conj()) / norms)))
 
-    pattern_probs = np.zeros(4)
-    for (_, c), p in zip(outcomes, probs):
-        pattern_probs[c] += p
-    eta_eff = _probs_to_eta(pattern_probs)
+    eta_eff = _probs_to_eta(np.bincount(ks, weights=probs, minlength=4))
     eta_res = float(np.max(np.abs(eta_eff * zf - gi)))
 
     return PovmWitness(
-        outcomes=tuple(ops for ops, _ in outcomes),
-        probabilities=tuple(probs),
-        pauli_patterns=tuple(c for _, c in outcomes),
+        outcomes=tuple(tuple(op) for op in ops),
+        probabilities=tuple(probs.tolist()),
+        pauli_patterns=tuple(ks),
         row=verdict.row,
         completeness_residual=comp_res,
         eta_residual=eta_res,
-        outcome_mismatch=float(mismatch),
+        outcome_mismatch=mismatch,
     )

@@ -3,9 +3,11 @@
 Sorted Schmidt vectors are sampled uniformly by normalizing exponential
 variates (uniform on the simplex) and sorting; hit fractions against the
 majorization predicate are then scaled by the sorted-region volume.  Each
-block of n draws, read row-major from ``Generator.exponential``, is copied
+block of n draws, read row-major from ``Generator.standard_exponential`` (the
+values of ``Generator.exponential``) a slab of rows at a time, is copied
 into an (n, d) Fortran-ordered array, so that each coordinate column is
-contiguous.  Its rows are sorted in descending order by Batcher's odd-even
+contiguous; each worker reuses one slab buffer and one such array for all
+its blocks.  Its rows are sorted in descending order by Batcher's odd-even
 merge network, built once per rank: a fixed sequence of in-place
 ``np.maximum``/``np.minimum`` calls on whole columns.  Each column is then
 divided by the row sums, and the predicate forms the partial sums as running
@@ -140,17 +142,31 @@ def _sort_rows_descending(pts: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _sorted_simplex(g: np.random.Generator, d: int, n: int) -> np.ndarray:
+def _simplex_buffers(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays for :func:`_sorted_simplex` calls of up to n rows: the
+    result (flat), one slab of draws and the row sums."""
+    return np.empty(n * d), np.empty((min(n, _SLAB), d)), np.empty(n)
+
+
+def _sorted_simplex(g: np.random.Generator, d: int, n: int, bufs=None) -> np.ndarray:
     """The next n sorted probability vectors of g, uniform on the sorted
-    region, as the rows of an (n, d) Fortran-ordered array."""
-    x = g.exponential(size=(n, d))
-    pts = np.empty((n, d), order="F")
-    # a slab of rows at a time: numpy's transposing copy of the whole block
-    # in one piece runs 2-3x slower from d = 8
+    region, as the rows of an (n, d) Fortran-ordered array.
+
+    ``bufs``, from ``_simplex_buffers(d, m)`` with m >= n, are reused in
+    place of fresh arrays; the result is then a view of the first of them.
+    """
+    flat, x, sums = _simplex_buffers(d, n) if bufs is None else bufs
+    pts = flat[:n * d].reshape((n, d), order="F")
+    # a slab of rows at a time, drawn into a buffer that stays in cache:
+    # successive draws continue g's stream, and numpy's transposing copy of
+    # the whole block in one piece runs 2-3x slower from d = 8
     for start in range(0, n, _SLAB):
-        pts[start:start + _SLAB] = x[start:start + _SLAB]
+        m = min(_SLAB, n - start)
+        slab = g.standard_exponential(out=x[:m])
+        slab.sum(axis=1, out=sums[start:start + m])
+        pts[start:start + m] = slab
     _sort_rows_descending(pts)
-    pts /= x.sum(axis=1, keepdims=True)
+    pts /= sums[:n, None]
     return pts
 
 
@@ -175,10 +191,12 @@ def _chunk_hits(draw, predicate, seed: int, idx: int, n: int, stop: threading.Ev
     return hits
 
 
-def _hit_fraction(draw, predicate, scale: float, cfg: McConfig) -> McResult:
+def _hit_fraction(sampler, predicate, scale: float, cfg: McConfig) -> McResult:
     """``scale`` times the fraction of ``cfg.samples`` points that ``predicate``
-    accepts, with its standard error; ``draw(g, n)`` gives the next n points
-    of generator g.
+    accepts, with its standard error.  ``sampler()`` is called once by each
+    worker and returns its ``draw``: ``draw(g, n)`` gives the next n <=
+    ``_BLOCK`` points of generator g and may reuse its buffers from call to
+    call, so one worker allocates them once, not once a block.
 
     One chunk runs inline; more are taken in turn by up to ``_workers()``
     threads, the calling one included.  The first exception a predicate
@@ -192,6 +210,7 @@ def _hit_fraction(draw, predicate, scale: float, cfg: McConfig) -> McResult:
     lock = threading.Lock()
 
     def work() -> None:
+        draw = sampler()
         while not stop.is_set():
             with lock:
                 if not todo:
@@ -234,8 +253,11 @@ def _mc_majorization(lam: SchmidtVector, cfg: McConfig, accessible: bool) -> McR
             hit &= within(partial, bound)
         return hit
 
-    return _hit_fraction(lambda g, n: _sorted_simplex(g, d, n),
-                         predicate, sorted_region_volume(d), cfg)
+    def sampler():
+        bufs = _simplex_buffers(d, _BLOCK)
+        return lambda g, n: _sorted_simplex(g, d, n, bufs)
+
+    return _hit_fraction(sampler, predicate, sorted_region_volume(d), cfg)
 
 
 def mc_source_volume(lam: SchmidtVector, cfg: McConfig) -> McResult:
@@ -287,4 +309,4 @@ def mc_region_volume(
             pts[:, j] += lo[j]
         return pts
 
-    return _hit_fraction(draw, predicate, volume, cfg)
+    return _hit_fraction(lambda: draw, predicate, volume, cfg)

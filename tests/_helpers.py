@@ -1,7 +1,9 @@
 """Shared test helpers: the d!-term source oracles (the signed sum and the
 permutation hull of lam), a generic pulling-recursion volume for enumerated
-polytopes, the row-wise Case-III predicate, and the random-state and
-random-pair generators of the four-qubit tests."""
+polytopes, the row-wise Case-III predicate, the per-outcome routes of the
+four-qubit module (square root by eigh, Kronecker chain, classification on
+numpy supports, the witness loop), and the random-state and random-pair
+generators of the four-qubit tests."""
 
 from __future__ import annotations
 
@@ -12,11 +14,25 @@ from fractions import Fraction
 
 import numpy as np
 
+from entvol.errors import CompletenessViolation, NotConvertible
 from entvol.fourqubit import (
+    KLEIN_SIGNS,
+    PAULI,
+    TAG_AXIS_ONLY,
+    TAG_AXIS_TRANSVERSE,
+    TAG_GENERAL_ONE,
+    TAG_GENERAL_PLUS_AXES,
+    TAG_MES,
+    TAG_SEED,
+    TAG_TWO_AXES,
     FourQubitForm,
+    PovmWitness,
     SeedParams,
+    _decide,
     _eta_to_probs,
     _probs_to_eta,
+    build_seed,
+    gram_matrix,
     random_seed_params,
 )
 
@@ -153,6 +169,111 @@ def caseiii_predicate_reference(gam: np.ndarray):
         )
         return inside
     return predicate
+
+
+# -- the four-qubit module's per-outcome routes, oracles for the batched ones --
+
+def sqrt_g_eigh(gamma) -> np.ndarray:
+    """The positive square root of G from its eigendecomposition."""
+    w, U = np.linalg.eigh(gram_matrix(np.asarray(gamma, dtype=float)))
+    return (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
+
+
+def kron_chain(a, b, c, d) -> np.ndarray:
+    return np.kron(np.kron(a, b), np.kron(c, d))
+
+
+def classify_at_reference(g: np.ndarray):
+    """The classification rule of ``fourqubit._classify_at`` on numpy
+    supports: ``.any()``, ``np.delete`` and ``np.count_nonzero``."""
+    active = [j for j in range(4) if g[j].any()]
+    if not active:
+        return TAG_SEED, None, {}
+    if len(active) == 1:
+        i = active[0]
+        comps = np.flatnonzero(g[i])
+        if len(comps) > 1:
+            return TAG_GENERAL_ONE, None, {"party": i}
+        ax = int(comps[0])
+        return TAG_AXIS_ONLY, ax, {"party": i, "value": abs(g[i][ax])}
+    for w in range(3):
+        off = [j for j in active if np.delete(g[j], w).any()]
+        if not off:
+            return TAG_MES, w, {"axis_values": tuple(g[j][w] for j in range(4))}
+        if len(off) > 1:
+            continue
+        i = off[0]
+        if np.count_nonzero(g[:, w]) >= 2:
+            return TAG_GENERAL_PLUS_AXES, w, {"general_party": i}
+        j = next(j for j in active if j != i)
+        trans = [u for u in range(3) if u != w and g[i][u] != 0]
+        if len(trans) == 2:
+            return TAG_AXIS_TRANSVERSE, w, {"axis_party": j, "transverse_party": i}
+        return TAG_TWO_AXES, w, {"parties": ((i, trans[0]), (j, w))}
+    return None
+
+
+def standard_signs_reference(g: np.ndarray) -> np.ndarray:
+    """The Klein sign of the standard form, one ``np.round`` per variant."""
+    return max(KLEIN_SIGNS, key=lambda s: tuple(np.round(g * s, 14).ravel()))
+
+
+def _twirl_loop(party, gamma_new, probs):
+    h = sqrt_g_eigh(gamma_new)
+    ginv = np.linalg.inv(sqrt_g_eigh(_probs_to_eta(probs) * gamma_new))
+    outcomes = []
+    for k in range(4):
+        if probs[k] <= 1e-14:
+            continue
+        ops = [PAULI[k].copy() for _ in range(4)]
+        ops[party] = math.sqrt(probs[k]) * (h @ PAULI[k] @ ginv)
+        outcomes.append((tuple(ops), k))
+    return outcomes
+
+
+def _state_vector_loop(seed: SeedParams, gammas) -> np.ndarray:
+    v = kron_chain(*(sqrt_g_eigh(g) for g in gammas)) @ build_seed(seed)
+    return v / np.linalg.norm(v)
+
+
+def povm_witness_loop(initial: FourQubitForm, final: FourQubitForm) -> PovmWitness:
+    """``fourqubit.povm_witness`` one outcome at a time: eigh square roots,
+    ``np.linalg.inv``, Kronecker chains and a loop over the 16x16 operators."""
+    verdict, basis = _decide(initial, final)
+    if not verdict:
+        raise NotConvertible(verdict.detail or "states are not LOCC related")
+    gi, zf, steps = basis
+    outcomes = _twirl_loop(*steps[0]) if steps else [(tuple(PAULI[0].copy() for _ in range(4)), 0)]
+    for step in steps[1:]:
+        outcomes = [(tuple(b[q] @ a[q] for q in range(4)), ka ^ kb)
+                    for a, ka in outcomes for b, kb in _twirl_loop(*step)]
+    mats = [kron_chain(*ops) for ops, _ in outcomes]
+    total = sum(m.conj().T @ m for m in mats)
+    comp_res = float(np.max(np.abs(total - np.eye(16))))
+    if comp_res > 1e-12:
+        raise CompletenessViolation(f"sum M^dag M deviates from identity by {comp_res}")
+    psi = _state_vector_loop(initial.seed, gi)
+    phi = _state_vector_loop(initial.seed, zf)
+    probs = []
+    mismatch = 0.0
+    for m in mats:
+        out = m @ psi
+        norm = np.linalg.norm(out)
+        probs.append(float(norm ** 2))
+        mismatch = max(mismatch, 1.0 - abs(np.vdot(phi, out)) / norm)
+    pattern_probs = np.zeros(4)
+    for (_, c), p in zip(outcomes, probs):
+        pattern_probs[c] += p
+    eta_res = float(np.max(np.abs(_probs_to_eta(pattern_probs) * zf - gi)))
+    return PovmWitness(
+        outcomes=tuple(ops for ops, _ in outcomes),
+        probabilities=tuple(probs),
+        pauli_patterns=tuple(c for _, c in outcomes),
+        row=verdict.row,
+        completeness_residual=comp_res,
+        eta_residual=eta_res,
+        outcome_mismatch=float(mismatch),
+    )
 
 
 def fixed_seed_params() -> SeedParams:

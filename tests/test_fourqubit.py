@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import pickle
 
@@ -10,6 +11,8 @@ import pytest
 from entvol import errors
 from entvol.fourqubit import (
     AXIS_TOL,
+    GAMMA_NORM_MAX,
+    KLEIN_SIGNS,
     FourQubitForm,
     SeedParams,
     TAG_AXIS_ONLY,
@@ -21,6 +24,8 @@ from entvol.fourqubit import (
     TAG_SEED,
     TAG_TWO_AXES,
     _caseiii_predicate,
+    _classify_at,
+    _inv2,
     build_seed,
     can_convert,
     caseiii_3d_feasible,
@@ -29,14 +34,26 @@ from entvol.fourqubit import (
     disc_corner_area,
     entanglement_4q,
     eta_solve,
+    gram_matrix,
     kron4,
     random_seed_params,
+    sqrt_g,
     standard_form,
     PAULI,
 )
 from entvol.oracle import McConfig
 
-from _helpers import Z3, caseiii_predicate_reference, fixed_seed_params, form, random_iiia_pair
+from _helpers import (
+    Z3,
+    caseiii_predicate_reference,
+    classify_at_reference,
+    fixed_seed_params,
+    form,
+    kron_chain,
+    random_iiia_pair,
+    sqrt_g_eigh,
+    standard_signs_reference,
+)
 
 SEED = fixed_seed_params()
 
@@ -92,6 +109,61 @@ def test_gamma_norm_guard():
         F([[0.5, 0.1, 0.0], Z3, Z3, Z3])
 
 
+# -- closed forms -------------------------------------------------------------
+
+def _gamma_corpus() -> list[np.ndarray]:
+    """Seeded gammas with |gamma| from 0 to GAMMA_NORM_MAX: zero, both signs
+    of each axis at a ladder of norms, and random directions at random norms
+    and at the bound."""
+    rng = np.random.default_rng(41)
+    out = [np.zeros(3)]
+    for r in (1e-12, 1e-6, 0.1, 0.25, 0.4, 0.49, 0.4999, 0.5 - 1e-9, GAMMA_NORM_MAX):
+        for ax, sign in itertools.product(range(3), (1.0, -1.0)):
+            g = np.zeros(3)
+            g[ax] = sign * r
+            out.append(g)
+    for _ in range(400):
+        v = rng.normal(size=3)
+        r = GAMMA_NORM_MAX if rng.random() < 0.1 else rng.uniform(0.0, GAMMA_NORM_MAX)
+        out.append(r * v / np.linalg.norm(v))
+    return out
+
+
+_GAMMAS = _gamma_corpus()
+
+
+def test_sqrt_g_squares_to_gram_matrix():
+    for g in _GAMMAS:
+        s = sqrt_g(g)
+        assert np.max(np.abs(s @ s - gram_matrix(g))) <= 1e-15, g
+        assert np.array_equal(s, s.conj().T), g
+        assert np.min(np.linalg.eigvalsh(s)) >= 0.0, g
+
+
+def test_sqrt_g_agrees_with_eigh_and_its_inverse():
+    inner = [g for g in _GAMMAS if np.linalg.norm(g) <= 0.49]
+    assert len(inner) > 300
+    for g in inner:
+        s = sqrt_g(g)
+        assert np.max(np.abs(s - sqrt_g_eigh(g))) <= 1e-14, g
+        assert np.max(np.abs(_inv2(s) @ s - np.eye(2))) <= 1e-12, g
+
+
+def test_kron4_is_the_kron_chain():
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        ops = [sqrt_g(_GAMMAS[i]) if rng.random() < 0.7 else PAULI[rng.integers(4)]
+               for i in rng.integers(len(_GAMMAS), size=4)]
+        assert np.max(np.abs(kron4(*ops) - kron_chain(*ops))) <= 1e-15
+    # a stack of operators per party gives one product per stack index
+    stack = np.array([[sqrt_g(_GAMMAS[i]) for i in rng.integers(len(_GAMMAS), size=4)]
+                      for _ in range(6)])
+    batched = kron4(*stack.transpose(1, 0, 2, 3))
+    assert batched.shape == (6, 16, 16)
+    for ops, m in zip(stack, batched):
+        assert np.max(np.abs(m - kron_chain(*ops))) <= 1e-15
+
+
 # -- standard form ------------------------------------------------------------
 
 def test_standard_form_flips_two_signs():
@@ -119,6 +191,58 @@ def test_standard_form_detects_lu_equivalence():
     a = standard_form(F(g))
     b = standard_form(F(flipped))
     assert np.allclose(a.gammas, b.gammas)
+
+
+def _sign_corpus() -> list[np.ndarray]:
+    """Seeded gammas whose Klein variants tie after rounding to 14 decimals.
+    Two variants tie when every column on which their signs differ rounds to
+    zero, so each column draws either from values that round to zero (0,
+    1e-15, 4.9e-15 and the half-way 5e-15) or from those, the values just
+    past the rounding boundary, values one 15th decimal apart and random
+    values."""
+    rng = np.random.default_rng(43)
+    vanishing = [0.0, 1e-15, 4.9e-15, 5e-15]
+    mixed = vanishing + [5.1e-15, 1e-14, 1.5e-14, 0.1, 0.1 + 3e-15, 0.123456789012345]
+    out = []
+    for _ in range(3000):
+        g = np.empty((4, 3))
+        for c in range(3):
+            if rng.random() < 0.5:
+                g[:, c] = rng.choice(vanishing, size=4)
+            else:
+                g[:, c] = rng.choice(mixed, size=4)
+                mask = rng.random(4) < 0.2
+                g[mask, c] = rng.uniform(-0.25, 0.25, size=mask.sum())
+        out.append(g * rng.choice([-1.0, 1.0], size=(4, 3)))
+    return out
+
+
+def test_standard_form_sign_is_the_four_call_rule():
+    ties = 0
+    for g in _sign_corpus():
+        expected = g * standard_signs_reference(g)
+        assert standard_form(F(g)).gammas.tobytes() == expected.tobytes(), g
+        keys = [tuple(np.round(g * s, 14).ravel()) for s in KLEIN_SIGNS]
+        ties += len(set(keys)) < 4
+    assert ties > 1000  # the corpus does reach ties
+
+
+def _typed(x):
+    """x with every leaf paired with its type, so that equality compares types."""
+    if isinstance(x, dict):
+        return {k: _typed(v) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(_typed(v) for v in x)
+    return type(x), x
+
+
+def test_classify_at_matches_numpy_supports_on_every_pattern():
+    rng = np.random.default_rng(44)
+    for pattern in range(1 << 12):
+        support = np.array([(pattern >> b) & 1 for b in range(12)], dtype=bool).reshape(4, 3)
+        g = np.where(support, rng.uniform(0.01, 0.28, size=(4, 3))
+                     * rng.choice([-1.0, 1.0], size=(4, 3)), 0.0)
+        assert _typed(_classify_at(g)) == _typed(classify_at_reference(g)), pattern
 
 
 # -- classification -----------------------------------------------------------

@@ -20,6 +20,7 @@ from _helpers import (
     Z3,
     fixed_seed_params,
     form,
+    povm_witness_loop,
 )
 
 SEED = fixed_seed_params()
@@ -190,6 +191,26 @@ def test_stray_components_decided_once(name):
         # through and the eta residual reports
         one_sided = len(members) == 1 and mag > AXIS_TOL
         assert wit.eta_residual <= (mag if one_sided else 1e-10), where
+
+
+@pytest.mark.parametrize("name", sorted(_STRAY_PAIRS))
+def test_batched_witness_matches_outcome_loop(name):
+    # the row's stray-test pair, and for a generator row six more seeded pairs
+    rng = np.random.default_rng(900)
+    pairs = [_STRAY_PAIRS[name]]
+    if name in PAIR_GENERATORS:
+        pairs += [PAIR_GENERATORS[name](rng, SEED) for _ in range(6)]
+    for a, b in pairs:
+        wit, ref = povm_witness(a, b), povm_witness_loop(a, b)
+        assert wit.row == ref.row
+        assert len(wit.outcomes) == len(ref.outcomes)
+        assert wit.pauli_patterns == ref.pauli_patterns
+        assert np.max(np.abs(np.subtract(wit.probabilities, ref.probabilities))) <= 1e-14
+        for ops, ref_ops in zip(wit.outcomes, ref.outcomes):
+            assert np.max(np.abs(np.subtract(ops, ref_ops))) <= 1e-14
+        for field in ("completeness_residual", "eta_residual", "outcome_mismatch"):
+            assert abs(getattr(wit, field) - getattr(ref, field)) <= 1e-14, field
+        assert wit.outcome_mismatch >= 0.0
 
 
 def _band_pairs():
