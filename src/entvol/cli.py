@@ -5,6 +5,11 @@ is printed as JSON), 64 on a usage error.  Floating point numbers are printed
 with 12 significant digits; a few closed-form constants also carry a symbolic
 rendering.  The environment variable ``ENTVOL_MC_SEED`` supplies the default
 Monte-Carlo seed of the commands that sample.
+
+The numpy-free modules (``errors``, ``schmidt``, ``source``) are imported
+here; numpy and every other module are imported inside the handlers that use
+them.  So ``bipartite source`` and ``convert`` run without numpy, and the
+four-qubit commands load neither ``bipartite`` nor ``polytope``.
 """
 
 from __future__ import annotations
@@ -15,12 +20,16 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import bipartite, fourqubit, oracle, polytope
 from .errors import EntvolError, UsageError
 from .schmidt import SchmidtVector, canonicalize, embed, majorizes
+from .source import MeasureReport, source_entanglement, source_entanglement_k, source_volume
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import fourqubit, oracle
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -78,6 +87,8 @@ def _parse_gammas(text: str) -> np.ndarray:
         raise UsageError(f"bad gamma block {text!r}: {exc}") from exc
     if len({len(row) for row in rows}) > 1:
         raise UsageError(f"bad gamma block {text!r}: rows of unequal length")
+    import numpy as np
+
     return np.asarray(rows)
 
 
@@ -106,6 +117,8 @@ def _read_json(path: str, parse):
 
 
 def _default_seed_params() -> fourqubit.SeedParams:
+    from . import fourqubit
+
     d = math.sqrt(0.195)
     p = fourqubit.SeedParams(0.6, 0.5 + 0.1j, 0.25 - 0.35j, complex(d))
     p.validate()
@@ -114,10 +127,14 @@ def _default_seed_params() -> fourqubit.SeedParams:
 
 def _form(gammas_text: str) -> fourqubit.FourQubitForm:
     """The default seed under the gammas parsed from ``gammas_text``."""
+    from . import fourqubit
+
     return fourqubit.FourQubitForm(_default_seed_params(), _parse_gammas(gammas_text))
 
 
 def _load_form(args) -> fourqubit.FourQubitForm:
+    from . import fourqubit
+
     if args.state:
         return _read_json(args.state, fourqubit.FourQubitForm.from_json)
     if args.gammas:
@@ -129,6 +146,8 @@ def _mc_config(samples: int, seed: str | None) -> oracle.McConfig:
     """The sampling plan; ``seed`` is the option's text, and without one
     ``ENTVOL_MC_SEED`` (default 0) is read.  A seed that is no integer, or
     that Philox's two 64-bit key words cannot hold, is a usage error."""
+    from . import oracle
+
     text = seed if seed is not None else os.environ.get("ENTVOL_MC_SEED", "0")
     try:
         value = int(text)
@@ -152,7 +171,7 @@ def _sweep(header: list[str], start, stop, steps: int, row) -> int:
 
 # -- bipartite ----------------------------------------------------------------
 
-def _report_payload(rep: bipartite.MeasureReport, label: str) -> dict:
+def _report_payload(rep: MeasureReport, label: str) -> dict:
     return {
         f"E_{label}": rep.entanglement,
         f"V_{label}": rep.volume,
@@ -164,8 +183,7 @@ def _report_payload(rep: bipartite.MeasureReport, label: str) -> dict:
 
 def _cmd_bipartite_source(args) -> int:
     lam = _parse_schmidt(args.schmidt)
-    rep = (bipartite.source_entanglement(lam) if args.k is None
-           else bipartite.source_entanglement_k(lam, args.k))
+    rep = source_entanglement(lam) if args.k is None else source_entanglement_k(lam, args.k)
     payload = _report_payload(rep, "s")
     payload["schmidt"] = list(lam.components)
     text = (f"E_s = {_fmt(rep.entanglement)}  (V_s = {_fmt(rep.volume)}, "
@@ -174,6 +192,8 @@ def _cmd_bipartite_source(args) -> int:
 
 
 def _cmd_bipartite_accessible(args) -> int:
+    from . import bipartite
+
     lam = _parse_schmidt(args.schmidt)
     if args.k is None:
         rep, V = bipartite.accessible_entanglement_and_vertices(lam)
@@ -199,6 +219,8 @@ def _cmd_bipartite_convert(args) -> int:
 
 
 def _cmd_bipartite_sweep(args) -> int:
+    from . import bipartite
+
     start = _parse_schmidt(args.start)
     stop = _parse_schmidt(args.stop)
     if start.d != stop.d:
@@ -221,6 +243,8 @@ def _cmd_bipartite_sweep(args) -> int:
 # -- fourqubit ----------------------------------------------------------------
 
 def _cmd_fourqubit_classify(args) -> int:
+    from . import fourqubit
+
     cls = fourqubit.classify(_load_form(args))
     axis = None if cls.w is None else fourqubit.AXIS_NAMES[cls.w]
     payload = {
@@ -237,6 +261,8 @@ def _cmd_fourqubit_classify(args) -> int:
 
 
 def _cmd_fourqubit_measures(args) -> int:
+    from . import fourqubit
+
     cfg = _mc_config(args.mc_samples, args.mc_seed)
     cls = fourqubit.classify(_load_form(args))
     s_rep, a_rep = fourqubit.entanglement_4q(cls, cfg)
@@ -258,6 +284,8 @@ def _cmd_fourqubit_measures(args) -> int:
 
 
 def _load_pair(args) -> tuple[fourqubit.FourQubitForm, fourqubit.FourQubitForm]:
+    from . import fourqubit
+
     if args.from_gammas and args.to_gammas:
         return _form(args.from_gammas), _form(args.to_gammas)
     if args.from_state and args.to_state:
@@ -267,6 +295,8 @@ def _load_pair(args) -> tuple[fourqubit.FourQubitForm, fourqubit.FourQubitForm]:
 
 
 def _cmd_fourqubit_convert(args) -> int:
+    from . import fourqubit
+
     initial, final = _load_pair(args)
     verdict = fourqubit.can_convert(initial, final)
     payload = {"convertible": bool(verdict), "row": verdict.row}
@@ -277,6 +307,8 @@ def _cmd_fourqubit_convert(args) -> int:
 
 
 def _cmd_fourqubit_witness(args) -> int:
+    from . import fourqubit
+
     initial, final = _load_pair(args)
     wit = fourqubit.povm_witness(initial, final)
     payload = {
@@ -297,6 +329,8 @@ def _cmd_fourqubit_witness(args) -> int:
 
 
 def _cmd_fourqubit_sweep(args) -> int:
+    from . import fourqubit
+
     cfg = _mc_config(args.mc_samples, args.mc_seed)
     initial, final = _form(args.from_gammas), _form(args.to_gammas)
 
@@ -317,6 +351,8 @@ def _cmd_fourqubit_sweep(args) -> int:
 # -- polytope -----------------------------------------------------------------
 
 def _polytope_from_json(payload):
+    from . import polytope
+
     if "A" in payload:
         return polytope.HalfspaceSystem.from_json(payload), None
     if "vertices" in payload:
@@ -325,6 +361,8 @@ def _polytope_from_json(payload):
 
 
 def _cmd_polytope_vertices(args) -> int:
+    from . import polytope
+
     H, V = _read_json(args.input, _polytope_from_json)
     if H is None:
         raise UsageError("vertex enumeration needs an H-representation")
@@ -335,6 +373,8 @@ def _cmd_polytope_vertices(args) -> int:
 
 
 def _cmd_polytope_volume(args) -> int:
+    from . import polytope
+
     H, V = _read_json(args.input, _polytope_from_json)
     adjacency = None
     if V is None:
@@ -357,22 +397,28 @@ def _cmd_polytope_volume(args) -> int:
 def _sampled_accessible_volume(lam) -> float:
     """The engine's accessible volume as a (d-1)-volume, the measure the
     oracle samples: 0 for a set of lower dimension (a zero-padded lam)."""
-    volume, dim = bipartite.accessible_volume(lam)
+    from .bipartite import accessible_volume
+
+    volume, dim = accessible_volume(lam)
     return volume if dim == lam.d - 1 else 0.0
 
 
-#: Per majorization oracle: its Monte-Carlo estimate, the engine value it is
-#: checked against and the payload key of that value.
+#: Per majorization oracle: the name of its Monte-Carlo estimate in
+#: ``oracle``, the engine value it is checked against and the payload key of
+#: that value.
 _MAJORIZATION_ORACLES = {
-    "source": (oracle.mc_source_volume, bipartite.source_volume, "closed_form"),
-    "accessible": (oracle.mc_accessible_volume, _sampled_accessible_volume, "polytope_value"),
+    "source": ("mc_source_volume", source_volume, "closed_form"),
+    "accessible": ("mc_accessible_volume", _sampled_accessible_volume, "polytope_value"),
 }
 
 
 def _cmd_oracle_majorization(args) -> int:
+    from . import oracle
+
     cfg = _mc_config(args.samples, args.seed)
     lam = _parse_schmidt(args.schmidt)
-    estimate, engine, key = _MAJORIZATION_ORACLES[args.cmd]
+    name, engine, key = _MAJORIZATION_ORACLES[args.cmd]
+    estimate = getattr(oracle, name)
     value = engine(lam)  # before sampling, so that a rank over the engine's cap fails at once
     payload = estimate(lam, cfg).to_json()
     payload[key] = value
@@ -381,6 +427,10 @@ def _cmd_oracle_majorization(args) -> int:
 
 
 def _cmd_oracle_region(args) -> int:
+    import numpy as np
+
+    from . import fourqubit, oracle
+
     cfg = _mc_config(args.samples, args.seed)
     if args.region == "reachable":
         if not args.gammas:

@@ -26,6 +26,7 @@ completeness and reports how closely they reach the target.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from .errors import (
     UnclassifiedForm,
 )
 from .oracle import McConfig, McResult, mc_region_volume
-from .bipartite import MeasureReport
+from .source import MeasureReport
 
 #: A gamma component of at most this magnitude is zero: :func:`classify` sets
 #: it to exactly 0, once, and every later support test reads those zeros.
@@ -57,6 +58,9 @@ GAMMA_NORM_MAX = 0.5 - 1e-12
 CONVERT_TOL = 1e-9
 #: Least separation of the squared parameters that ``random_seed_params`` draws.
 SEED_MIN_GAP = 0.03
+#: Default slack of ``SeedParams.validate``: squared parameters closer than
+#: this coincide.
+_SEED_TOL = 1e-9
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -92,8 +96,13 @@ class SeedParams:
     def squares(self) -> tuple[complex, complex, complex, complex]:
         return (complex(self.a) ** 2, self.b ** 2, self.c ** 2, self.d ** 2)
 
-    def validate(self, tol: float = 1e-9) -> None:
-        if not np.all(np.isfinite([self.a, self.b, self.c, self.d])):
+    def validate(self, tol: float = _SEED_TOL) -> None:
+        """Raise ``InvalidSeedParams`` unless the parameters label a generic
+        class.  A pass at the default ``tol`` is recorded on the instance, so
+        later default calls (every ``build_seed``) return at once."""
+        if tol == _SEED_TOL and self.__dict__.get("_valid"):
+            return
+        if not all(cmath.isfinite(x) for x in (self.a, self.b, self.c, self.d)):
             raise InvalidSeedParams("seed parameters must be finite")
         norm = abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + abs(self.d) ** 2
         if abs(norm - 1.0) > 1e-9:
@@ -107,6 +116,8 @@ class SeedParams:
         for q in _square_ratios(sq, tol):
             if _multisets_match(sq, tuple(q * s for s in sq), tol):
                 raise InvalidSeedParams(f"parameter squares invariant under scaling by {q}")
+        if tol == _SEED_TOL:
+            object.__setattr__(self, "_valid", True)
 
 
 def _square_ratios(sq, tol):

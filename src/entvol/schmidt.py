@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     DimensionMismatch,
@@ -26,6 +24,9 @@ from .errors import (
     ShrinkNotAllowed,
     ZeroSum,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Tolerance for normalization, sorting and majorization comparisons.  All
 #: majorization inequalities are non-strict and evaluated with this slack.
@@ -61,6 +62,8 @@ class SchmidtVector:
         return len(self.components)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np  # the module's one numpy use, loaded on the first call
+
         return np.array(self.components, dtype=float)
 
     def __iter__(self):

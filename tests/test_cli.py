@@ -557,6 +557,50 @@ def test_measures_start_no_thread_pool():
     assert json.loads(payload)["V_a_abs_err"] > 0.0
 
 
+def _python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_source_and_convert_run_without_numpy():
+    # a None entry in sys.modules makes every import of numpy fail
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import entvol\n"
+            "from entvol.cli import main\n"
+            "for argv in (['bipartite', 'source', '--schmidt', '0.4,0.3,0.2,0.1'],\n"
+            "             ['bipartite', 'source', '--schmidt', '0.4,0.3,0.2,0.1', '--json'],\n"
+            "             ['bipartite', 'source', '--schmidt', '0.4,0.3,0.2,0.1', '--k', '6'],\n"
+            "             ['bipartite', 'convert', '--from', '0.6,0.4', '--to', '0.7,0.3']):\n"
+            "    assert main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('entvol')))\n")
+    proc = _python(code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        'E_s = 0.904  (V_s = 0.00133333333333, dim 3, k = 4)\n'
+        '{"E_s": 0.904, "V_s": 0.00133333333333, "dimension": 3, "v_sup": 0.0138888888889, "k": 4, "schmidt": [0.4, 0.3, 0.2, 0.1]}\n'
+        'E_s = 0.51308761523  (V_s = 1.41735868288e-05, dim 5, k = 6)\n'
+        'convertible\n'
+        "['entvol', 'entvol.cli', 'entvol.errors', 'entvol.schmidt', 'entvol.source']\n")
+
+
+def test_fourqubit_commands_load_no_bipartite_or_polytope():
+    code = ("import sys\n"
+            "from entvol.cli import main\n"
+            f"pair = ['--from-gammas', {RECT_FROM!r}, '--to-gammas', {RECT_TO!r}]\n"
+            f"for argv in (['fourqubit', 'classify', '--gammas', {CASE_III!r}],\n"
+            "             ['fourqubit', 'convert'] + pair, ['fourqubit', 'witness'] + pair,\n"
+            f"             ['fourqubit', 'measures', '--gammas', {ZERO_GAMMAS!r}]):\n"
+            "    assert main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('entvol')))\n")
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "['entvol', 'entvol.cli', 'entvol.errors', 'entvol.fourqubit', 'entvol.oracle', "
+        "'entvol.schmidt', 'entvol.source']")
+
+
 #: Vertex sets whose hull rank once came from two SVDs that disagreed
 #: (near_point, near_segment), one whose spread overflows qhull, and input
 #: with no coordinates, which once ended in a lexsort traceback; the expected

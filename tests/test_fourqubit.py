@@ -93,6 +93,39 @@ def test_seed_params_validation():
     random_seed_params(np.random.default_rng(5)).validate()
 
 
+def test_seed_validated_once_at_default_tolerance(monkeypatch):
+    from entvol import fourqubit
+
+    scans = []
+    real = fourqubit._square_ratios
+    monkeypatch.setattr(fourqubit, "_square_ratios", lambda sq, tol: scans.append(tol) or real(sq, tol))
+    seed = SeedParams(0.6, 0.5 + 0.1j, 0.25 - 0.35j, complex(math.sqrt(0.195)))
+    for _ in range(3):
+        seed.validate()
+        build_seed(seed)
+        FourQubitForm(seed, np.zeros((4, 3))).state_vector()
+    assert scans == [1e-9]
+    seed.validate(tol=0.03)  # another tolerance scans again, every time
+    seed.validate(tol=0.03)
+    assert scans == [1e-9, 0.03, 0.03]
+    twin = SeedParams(seed.a, seed.b, seed.c, seed.d)
+    assert twin == seed and hash(twin) == hash(seed)
+    assert pickle.loads(pickle.dumps(seed)) == seed
+
+    bad = SeedParams(1.0, 0.0, 0.0, 0.0)  # coincident squares
+    for _ in range(2):
+        with pytest.raises(errors.InvalidSeedParams):
+            bad.validate()
+        with pytest.raises(errors.InvalidSeedParams):
+            build_seed(bad)
+    assert np.count_nonzero(build_seed(bad, validate=False)) == 4
+    unnormalized = SeedParams(0.9, 0.1, 0.2, 0.3)
+    with pytest.raises(errors.InvalidSeedParams, match="expected 1"):
+        unnormalized.validate(tol=0.03)
+    with pytest.raises(errors.InvalidSeedParams, match="expected 1"):
+        unnormalized.validate()
+
+
 def test_form_json_roundtrip():
     a = F([[0.1, 0.2, -0.3], [0.05, 0, 0], Z3, Z3])
     b = FourQubitForm.from_json(a.to_json())
