@@ -40,7 +40,7 @@ from .errors import (
     NotConvertible,
     UnclassifiedForm,
 )
-from .oracle import McConfig, McResult, mc_region_volume
+from .oracle import McConfig, McResult, mc_region_volume, thread_scratch
 from .source import MeasureReport
 
 #: A gamma component of at most this magnitude is zero: :func:`classify` sets
@@ -629,18 +629,34 @@ def _caseiii_predicate(gam: np.ndarray):
     contiguously.  A quotient gam_j/zeta_j that is not finite (0/0, or an
     overflow on a zero or tiny zeta_j) puts the point outside: r_j enters two
     facet sums with each sign, so one of them is -inf or NaN.
+
+    The work arrays are the calling thread's and are reused from block to
+    block; the result is a fresh array.  The tetrahedron test runs on every
+    row and counts only inside the ball, so it is the same there as on the
+    ball's rows alone.
     """
+    g0, g1, g2 = gam
+    scratch = thread_scratch(float, float, float, float, float, bool)
+
     def predicate(pts: np.ndarray) -> np.ndarray:
-        # the tetrahedron test runs only on the points inside the ball
+        plus, minus, r1, r2, t, ok = scratch(len(pts))
         x, y, z = pts.T
-        inside = x * x + y * y + z * z < 0.25
-        idx = np.flatnonzero(inside)
+        # x * x + y * y + z * z, summed left to right
+        np.multiply(x, x, out=plus)
+        plus += np.multiply(y, y, out=minus)
+        plus += np.multiply(z, z, out=minus)
+        inside = plus < 0.25
         with np.errstate(all="ignore"):
-            r0, r1, r2 = (g / col.take(idx) for g, col in zip(gam, pts.T))
+            np.divide(g0, x, out=t)
+            np.add(1, t, out=plus)
+            np.subtract(1, t, out=minus)
+            np.divide(g1, y, out=r1)
+            np.divide(g2, z, out=r2)
             # the four facets, each summed left to right from 1 +- r0
-            plus, minus = 1 + r0, 1 - r0
-            inside[idx] = ((plus + r1 + r2 >= 0) & (plus - r1 - r2 >= 0)
-                           & (minus + r1 - r2 >= 0) & (minus - r1 + r2 >= 0))
+            for start, first, second in ((plus, np.add, np.add), (plus, np.subtract, np.subtract),
+                                         (minus, np.add, np.subtract), (minus, np.subtract, np.add)):
+                second(first(start, r1, out=t), r2, out=t)
+                inside &= np.greater_equal(t, 0, out=ok)
         return inside
     return predicate
 

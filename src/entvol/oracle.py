@@ -6,17 +6,27 @@ majorization predicate are then scaled by the sorted-region volume.  Each
 block of n draws, read row-major from ``Generator.standard_exponential`` (the
 values of ``Generator.exponential``) a slab of rows at a time, is copied
 into an (n, d) Fortran-ordered array, so that each coordinate column is
-contiguous; each worker reuses one slab buffer and one such array for all
-its blocks.  Its rows are sorted in descending order by Batcher's odd-even
-merge network, built once per rank: a fixed sequence of in-place
-``np.maximum``/``np.minimum`` calls on whole columns.  Each column is then
-divided by the row sums, and the predicate forms the partial sums as running
-column adds.  The estimates are those of normalizing, sorting and ``cumsum``
-row by row, bit for bit: a min or max is exact; ``fl(a / s)`` is monotone in
-a, so sorting before dividing gives the same values; ``cumsum`` adds in
-sequence, as the running adds do; and the row sums are numpy's own
-``x.sum(axis=1)`` (from d = 8 it sums a row pairwise, so a sequential column
-sum would differ).
+contiguous.  The row sums are then added up from those columns in numpy's
+own order for ``x.sum(axis=1)``: in turn below d = 8, and from d = 8 to 128
+as its pairwise kernel does, in eight running sums over every eighth entry
+combined as a tree (see :func:`_row_sums`; numpy splits longer rows, and no
+rank past 98 has a sorted-region volume).  The rows are sorted in descending
+order by Batcher's odd-even merge network, built once per rank: a fixed
+sequence of ``np.maximum``/``np.minimum`` calls on whole columns, with one
+spare column that takes the place of each comparator's lower column, so no
+column is copied back.  Each sorted column is then divided by the row sums,
+and the predicate forms the partial sums as running column adds from the
+first column, in place.  The estimates are those of normalizing, sorting and
+``cumsum`` row by row, bit for bit: a min or max is exact; ``fl(a / s)`` is
+monotone in a, so sorting before dividing gives the same values; ``cumsum``
+starts from the first entry and adds in sequence, as the running adds do;
+and the row sums are those of ``x.sum(axis=1)``.
+
+Each worker allocates its work arrays once and reuses them for all its
+blocks: the slab, the block, the row sums and the rows they and the sort
+work in (the spare column among them), the region draws, and (through
+:func:`thread_scratch`, per thread) the majorization and Case-III
+predicates' arrays.
 
 Regions in a box [lo, hi) are sampled as ``lo + (hi - lo) * U``, with U read
 row-major from ``Generator.random``.  That is the arithmetic of
@@ -130,44 +140,94 @@ def _sorting_network(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(net)
 
 
-def _sort_rows_descending(pts: np.ndarray) -> np.ndarray:
-    """Sort each row of the Fortran-ordered (n, d) array pts in descending
-    order, in place, one comparator of the network at a time; returns pts."""
-    cols = list(pts.T)
-    low = np.empty(len(pts))
-    for i, j in _sorting_network(pts.shape[1]):
-        np.minimum(cols[i], cols[j], out=low)
+def _sort_descending(cols: list[np.ndarray], spare: np.ndarray) -> list[np.ndarray]:
+    """The columns of the rows of ``cols`` sorted in descending order, one
+    comparator of the network at a time.  A comparator writes its maximum
+    over its upper column and its minimum into ``spare``, which then stands
+    for the lower column, whose array becomes the spare: nothing is copied
+    back.  The arrays of cols and spare are overwritten; the result holds
+    all but one of them."""
+    cols = list(cols)
+    for i, j in _sorting_network(len(cols)):
+        np.minimum(cols[i], cols[j], out=spare)
         np.maximum(cols[i], cols[j], out=cols[i])
-        cols[j][:] = low
-    return pts
+        cols[j], spare = spare, cols[j]
+    return cols
 
 
-def _simplex_buffers(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_sums(pts: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The bits of ``x.sum(axis=1)`` for the rows x of the Fortran-ordered
+    (n, d) array pts, d <= 128, added up from its contiguous columns into the
+    n floats out; returns out.
+
+    numpy adds up a row of fewer than 8 entries in turn, and one of 8 to 128
+    entries pairwise: eight running sums r_j over the entries j, j + 8, ...
+    below the last multiple of 8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 +
+    r5) + (r6 + r7)), then the remaining entries added in turn.  A longer row
+    it splits in halves; no rank that has a sorted-region volume is that long.
+    From d = 8, ``work`` holds two rows of n floats, and from d = 16 three.
+    """
+    d = pts.shape[1]
+    assert d <= 128, "numpy adds up a row of more than 128 entries in halves"
+    cols = pts.T
+    if d < 8:
+        np.copyto(out, cols[0])
+        for c in cols[1:]:
+            out += c
+        return out
+    stop = d - d % 8
+
+    def lane(j: int, dst: np.ndarray) -> np.ndarray:
+        # r_j, into dst unless it is a single column
+        if stop == 8:
+            return cols[j]
+        np.add(cols[j], cols[j + 8], out=dst)
+        for i in range(j + 16, stop, 8):
+            dst += cols[i]
+        return dst
+
+    w0, w1 = work[:2]
+    w2 = work[2] if stop > 8 else None  # below d = 16 lane 7 is a column
+    np.add(lane(0, out), lane(1, w0), out=out)
+    np.add(lane(2, w0), lane(3, w1), out=w0)
+    out += w0
+    np.add(lane(4, w0), lane(5, w1), out=w0)
+    np.add(lane(6, w1), lane(7, w2), out=w1)
+    w0 += w1
+    out += w0
+    for c in cols[stop:]:
+        out += c
+    return out
+
+
+def _simplex_buffers(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Work arrays for :func:`_sorted_simplex` calls of up to n rows: the
-    result (flat), one slab of draws and the row sums."""
-    return np.empty(n * d), np.empty((min(n, _SLAB), d)), np.empty(n)
+    block (flat), one slab of draws, the row sums, and the rows of n floats
+    that the row sums and then the sort (the first, as its spare) work in."""
+    return (np.empty(n * d), np.empty((min(n, _SLAB), d)), np.empty(n),
+            np.empty((1 if d < 8 else 2 if d < 16 else 3, n)))
 
 
-def _sorted_simplex(g: np.random.Generator, d: int, n: int, bufs=None) -> np.ndarray:
+def _sorted_simplex(g: np.random.Generator, d: int, n: int, bufs=None) -> list[np.ndarray]:
     """The next n sorted probability vectors of g, uniform on the sorted
-    region, as the rows of an (n, d) Fortran-ordered array.
+    region, as d contiguous columns of n entries, the largest first.
 
     ``bufs``, from ``_simplex_buffers(d, m)`` with m >= n, are reused in
-    place of fresh arrays; the result is then a view of the first of them.
+    place of fresh arrays; the columns are then views of them.
     """
-    flat, x, sums = _simplex_buffers(d, n) if bufs is None else bufs
+    flat, x, sums, work = _simplex_buffers(d, n) if bufs is None else bufs
     pts = flat[:n * d].reshape((n, d), order="F")
     # a slab of rows at a time, drawn into a buffer that stays in cache:
     # successive draws continue g's stream, and numpy's transposing copy of
     # the whole block in one piece runs 2-3x slower from d = 8
     for start in range(0, n, _SLAB):
         m = min(_SLAB, n - start)
-        slab = g.standard_exponential(out=x[:m])
-        slab.sum(axis=1, out=sums[start:start + m])
-        pts[start:start + m] = slab
-    _sort_rows_descending(pts)
-    pts /= sums[:n, None]
-    return pts
+        pts[start:start + m] = g.standard_exponential(out=x[:m])
+    sums = _row_sums(pts, sums[:n], work[:, :n])
+    cols = _sort_descending(pts.T, work[0, :n])
+    for col in cols:
+        np.divide(col, sums, out=col)
+    return cols
 
 
 def _workers() -> int:
@@ -195,8 +255,9 @@ def _hit_fraction(sampler, predicate, scale: float, cfg: McConfig) -> McResult:
     """``scale`` times the fraction of ``cfg.samples`` points that ``predicate``
     accepts, with its standard error.  ``sampler()`` is called once by each
     worker and returns its ``draw``: ``draw(g, n)`` gives the next n <=
-    ``_BLOCK`` points of generator g and may reuse its buffers from call to
-    call, so one worker allocates them once, not once a block.
+    ``_BLOCK`` points of generator g, in the form ``predicate`` takes, and may
+    reuse its buffers from call to call, so one worker allocates them once,
+    not once a block.
 
     One chunk runs inline; more are taken in turn by up to ``_workers()``
     threads, the calling one included.  The first exception a predicate
@@ -239,18 +300,38 @@ def _hit_fraction(sampler, predicate, scale: float, cfg: McConfig) -> McResult:
     return McResult(p * scale, se, cfg.samples, cfg.seed)
 
 
+def thread_scratch(*dtypes):
+    """A function n -> one array of n entries per dtype, the same arrays on
+    every call in a thread until a larger n asks for new ones.  Each call
+    hands out the arrays of the last: a caller uses them before its next."""
+    local = threading.local()
+
+    def get(n: int) -> list[np.ndarray]:
+        bufs = getattr(local, "bufs", None)
+        if bufs is None or len(bufs[0]) < n:
+            bufs = local.bufs = [np.empty(n, dt) for dt in dtypes]
+        return [b[:n] for b in bufs]
+
+    return get
+
+
 def _mc_majorization(lam: SchmidtVector, cfg: McConfig, accessible: bool) -> McResult:
     d = lam.d
     E = np.cumsum(lam.as_array())[: d - 1]
     bounds, within = (E - EPS_NORM, np.greater_equal) if accessible else (E + EPS_NORM, np.less_equal)
+    scratch = thread_scratch(bool, bool)
 
-    def predicate(pts: np.ndarray) -> np.ndarray:
-        # 0 + x is x, so the running sum has the bits of cumsum's partial sums
-        partial = np.zeros(len(pts))
-        hit = np.ones(len(pts), dtype=bool)
+    def predicate(cols: list[np.ndarray]) -> np.ndarray:
+        # the running sum from the first column has the bits of cumsum's
+        # partial sums; it is kept in the columns, which the worker's next
+        # block overwrites, and the hits in the thread's scratch, counted
+        # before its next block
+        hit, ok = scratch(len(cols[0]))
+        hit.fill(True)
         for j, bound in enumerate(bounds):
-            partial += pts[:, j]
-            hit &= within(partial, bound)
+            if j:
+                cols[j] += cols[j - 1]
+            hit &= within(cols[j], bound, out=ok)
         return hit
 
     def sampler():
@@ -284,9 +365,11 @@ def mc_region_volume(
     into a Fortran-ordered array, so each coordinate column is contiguous.
 
     ``predicate`` receives an (n, dim) array and must return a boolean array
-    (or a list of booleans) of length n; it is assumed total on the box.  It
-    may run in several threads at once, and numpy's ``errstate`` does not
-    reach them: a predicate that divides must set ``np.errstate`` itself.
+    (or a list of booleans) of length n; it is assumed total on the box.  The
+    array is the worker's draw buffer, which its next block overwrites: a
+    predicate that keeps points copies them.  It may run in several threads
+    at once, and numpy's ``errstate`` does not reach them: a predicate that
+    divides must set ``np.errstate`` itself.
     A box with an empty side or a volume that is not finite and positive in
     floats raises ``InconsistentInput``.
     """
@@ -301,12 +384,17 @@ def mc_region_volume(
     if not (np.all(span > 0) and 0.0 < volume < math.inf):
         raise InconsistentInput("invalid bounding box")
 
-    def draw(g: np.random.Generator, n: int) -> np.ndarray:
-        u = g.random((n, lo.size))
-        pts = np.empty_like(u, order="F")
-        for j in range(lo.size):
-            np.multiply(u[:, j], span[j], out=pts[:, j])
-            pts[:, j] += lo[j]
-        return pts
+    def sampler():
+        u, flat = np.empty((_BLOCK, lo.size)), np.empty(_BLOCK * lo.size)
 
-    return _hit_fraction(lambda: draw, predicate, volume, cfg)
+        def draw(g: np.random.Generator, n: int) -> np.ndarray:
+            g.random(out=u[:n])
+            pts = flat[:n * lo.size].reshape((n, lo.size), order="F")
+            for j in range(lo.size):
+                np.multiply(u[:n, j], span[j], out=pts[:, j])
+                pts[:, j] += lo[j]
+            return pts
+
+        return draw
+
+    return _hit_fraction(sampler, predicate, volume, cfg)

@@ -11,7 +11,7 @@ of the partial sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
@@ -33,8 +33,51 @@ if TYPE_CHECKING:
 EPS_NORM = 1e-12
 
 
-@dataclass(frozen=True)
-class SchmidtVector:
+class FrozenRecord:
+    """Base of the immutable records on the numpy-free path: what a frozen
+    dataclass over the fields ``__slots__`` would give (``==``, ``hash`` and
+    ``repr`` over the fields, copies and pickles), without importing
+    ``dataclasses`` and the ``inspect`` it pulls in.  A subclass's
+    ``__init__`` takes the fields and stores them with :meth:`_set` (or
+    with its slots' own descriptors); assigning or deleting a field raises
+    ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        get = operator.attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        # the slots' own descriptors store a field past __setattr__
+        cls._fields = tuple(cls.__dict__[name] for name in cls.__slots__)
+
+    def _set(self, *values) -> None:
+        for field, value in zip(self._fields, values):
+            field.__set__(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class SchmidtVector(FrozenRecord):
     """Sorted probability vector labelling an LU class of a bipartite state.
 
     Trailing zeros are significant: ``(0.5, 0.5)`` and ``(0.5, 0.5, 0)`` are
@@ -42,7 +85,11 @@ class SchmidtVector:
     generalized measure families.
     """
 
-    components: tuple[float, ...]
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[float, ...]) -> None:
+        _store_components(self, components)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         c = self.components
@@ -71,6 +118,11 @@ class SchmidtVector:
 
     def __getitem__(self, i: int) -> float:
         return self.components[i]
+
+
+#: The slot's own store, past the raising ``__setattr__``: every vector is
+#: built through it, and it costs a third of what ``FrozenRecord._set`` does.
+_store_components = SchmidtVector.components.__set__
 
 
 def canonicalize(raw: Iterable[float]) -> SchmidtVector:

@@ -37,27 +37,30 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import DimensionTooLarge, IndexOutOfRange, ShrinkNotAllowed
-from .schmidt import SchmidtVector, embed, maximally_entangled, sorted_region_volume
+from .schmidt import FrozenRecord, SchmidtVector, embed, maximally_entangled, sorted_region_volume
 
 #: Largest Schmidt rank the source measures accept; their precision is tested
 #: up to here (E_s within 1e-13 of 0 on the separable state, of 1 on the flat).
 MAX_EXACT_DIM = 16
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Outcome of one volume/entanglement evaluation."""
+class MeasureReport(FrozenRecord):
+    """Outcome of one volume/entanglement evaluation.
 
-    quantity: str          # "source" or "accessible"
-    volume: float          # intrinsic volume
-    dimension: int         # dimension the volume is measured in
-    v_sup: float           # normalization constant used
-    entanglement: float    # value in [0, 1]
-    k: int                 # family index (k = d for the plain measures)
-    abs_err: float = 0.0   # Monte-Carlo standard error of the volume (0 when exact)
+    quantity is "source" or "accessible"; volume the intrinsic volume, of
+    dimension ``dimension``; v_sup the normalization constant used;
+    entanglement the value in [0, 1]; k the family index (k = d for the plain
+    measures); abs_err the Monte-Carlo standard error of the volume (0 when
+    exact).
+    """
+
+    __slots__ = ("quantity", "volume", "dimension", "v_sup", "entanglement", "k", "abs_err")
+
+    def __init__(self, quantity: str, volume: float, dimension: int, v_sup: float,
+                 entanglement: float, k: int, abs_err: float = 0.0) -> None:
+        self._set(quantity, volume, dimension, v_sup, entanglement, k, abs_err)
 
 
 def _chamber_volume(lam: tuple[float, ...]) -> float:

@@ -574,7 +574,8 @@ def test_source_and_convert_run_without_numpy():
             "             ['bipartite', 'source', '--schmidt', '0.4,0.3,0.2,0.1', '--k', '6'],\n"
             "             ['bipartite', 'convert', '--from', '0.6,0.4', '--to', '0.7,0.3']):\n"
             "    assert main(argv) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('entvol')))\n")
+            "print(sorted(m for m in sys.modules if m.startswith('entvol')))\n"
+            "print('dataclasses' in sys.modules)\n")
     proc = _python(code)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (
@@ -582,7 +583,8 @@ def test_source_and_convert_run_without_numpy():
         '{"E_s": 0.904, "V_s": 0.00133333333333, "dimension": 3, "v_sup": 0.0138888888889, "k": 4, "schmidt": [0.4, 0.3, 0.2, 0.1]}\n'
         'E_s = 0.51308761523  (V_s = 1.41735868288e-05, dim 5, k = 6)\n'
         'convertible\n'
-        "['entvol', 'entvol.cli', 'entvol.errors', 'entvol.schmidt', 'entvol.source']\n")
+        "['entvol', 'entvol.cli', 'entvol.errors', 'entvol.schmidt', 'entvol.source']\n"
+        "False\n")
 
 
 def test_fourqubit_commands_load_no_bipartite_or_polytope():

@@ -612,3 +612,16 @@ def test_caseiii_predicate_matches_row_wise_reference_on_edges(gam):
     assert 0 < np.count_nonzero(edges) < len(edges)
     for layout in ("C", "F"):
         assert np.array_equal(_caseiii_predicate(gam)(np.asarray(pts, order=layout)), expected)
+
+
+def test_caseiii_predicate_results_outlive_later_calls():
+    # one predicate on growing, shrinking and regrowing inputs of both
+    # layouts: each result is its own array, right after later calls too
+    gam = np.array([0.05, 0.04, 0.03])
+    predicate = _caseiii_predicate(gam)
+    rng = np.random.Generator(np.random.Philox(key=[8, 0]))
+    inputs = [rng.uniform([0.0, -0.5, -0.5], [0.5, 0.5, 0.5], size=(n, 3)) for n in (700, 40_000, 3, 5_000)]
+    inputs = [np.asarray(p, order=layout) for p, layout in zip(inputs, "FCFC")]
+    results = [predicate(p) for p in inputs]
+    for pts, res in zip(inputs, results):
+        assert np.array_equal(res, caseiii_predicate_reference(gam)(pts))

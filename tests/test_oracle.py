@@ -57,25 +57,62 @@ def _tied_draws(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return x
 
 
+def _sorted_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of x sorted by the comparator network, on copies of its
+    columns and one spare column."""
+    cols = oracle._sort_descending([c.copy() for c in x.T], np.empty(len(x)))
+    return np.column_stack(cols)
+
+
 @pytest.mark.parametrize("d", list(range(1, 18)) + [32])
 def test_sorting_network_sorts_rows_descending(d):
     x = _tied_draws(np.random.default_rng(d), 4_000, d)
-    pts = oracle._sort_rows_descending(np.asfortranarray(x))
-    assert np.array_equal(pts, np.sort(x, axis=1)[:, ::-1])
+    assert np.array_equal(_sorted_rows(x), np.sort(x, axis=1)[:, ::-1])
     if d <= 12:  # every 0-1 row: by the 0-1 principle the network sorts every input
         bits = (np.arange(2 ** d)[:, None] >> np.arange(d) & 1).astype(float)
-        pts = oracle._sort_rows_descending(np.asfortranarray(bits))
-        assert np.array_equal(pts, np.sort(bits, axis=1)[:, ::-1])
+        assert np.array_equal(_sorted_rows(bits), np.sort(bits, axis=1)[:, ::-1])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16])
 def test_sorted_simplex_is_the_row_wise_route(d):
     # dividing each row by its sum, sorting it and reading it backwards
-    pts = oracle._sorted_simplex(oracle._rng(3, 1), d, 5_000)
+    cols = oracle._sorted_simplex(oracle._rng(3, 1), d, 5_000)
     x = oracle._rng(3, 1).exponential(size=(5_000, d))
     x /= x.sum(axis=1, keepdims=True)
-    assert pts.flags.f_contiguous
-    assert np.array_equal(pts, np.sort(x, axis=1)[:, ::-1])
+    assert len(cols) == d and all(c.flags.c_contiguous for c in cols)
+    assert np.array_equal(np.column_stack(cols), np.sort(x, axis=1)[:, ::-1])
+
+
+def test_row_sums_are_numpys_row_sums():
+    # every rank up to the last with a sorted-region volume, on a ragged
+    # number of rows, with tied and zero columns and subnormal entries
+    rng = np.random.default_rng(12)
+    n = 3 * oracle._SLAB + 5
+    for d in range(1, 99):
+        x = rng.exponential(size=(n, d)) * rng.choice([1e-300, 1e-3, 1.0, 1e3], size=(n, d))
+        sub = rng.random((n, d)) < 0.05
+        x[sub] = 5e-324 * rng.integers(1, 2 ** 20, size=np.count_nonzero(sub))
+        x[:, d // 2] = x[:, 0]
+        x[:, d // 3] = 0.0
+        x[:50] = x[:50, :1]  # rows of equal entries
+        work = oracle._simplex_buffers(d, n)[3]
+        sums = oracle._row_sums(np.asfortranarray(x), np.empty(n), work)
+        assert np.array_equal(sums.view(np.uint64), x.sum(axis=1).view(np.uint64)), d
+
+
+def test_thread_scratch_is_reused_and_per_thread():
+    scratch = oracle.thread_scratch(float, bool)
+    a, b = scratch(100)
+    assert (a.dtype, b.dtype, len(a), len(b)) == (np.float64, np.bool_, 100, 100)
+    small = scratch(30)
+    assert all(np.shares_memory(s, t) and len(s) == 30 for s, t in zip(small, (a, b)))
+    bigger = scratch(200)
+    assert len(bigger[0]) == 200 and not np.shares_memory(bigger[0], a)
+    other = []
+    worker = threading.Thread(target=lambda: other.extend(scratch(200)))
+    worker.start()
+    worker.join()
+    assert not any(np.shares_memory(s, t) for s, t in zip(other, bigger))
 
 
 def test_rank_past_the_float_range_is_refused():
@@ -183,9 +220,14 @@ def test_result_records_audit_fields():
 #: chunks and a ragged third.  They were taken from the single-threaded loop
 #: that drew each chunk in one piece, so they pin the sampling plan, not the
 #: way it is carried out; the ranks 1, 3 and 16 were taken from the row-wise
-#: sort and cumsum that the comparator network replaced.
+#: sort and cumsum that the comparator network replaced, and the ranks 4, 6
+#: and 7 from the comparator network with numpy's ``x.sum(axis=1)`` row sums,
+#: before those sums were formed from the columns.
 GUARD_LAMS = {1: [1.0], 2: [0.7, 0.3], 3: [0.55, 0.3, 0.15],
+              4: [0.4, 0.3, 0.2, 0.1],
               5: [0.4, 0.25, 0.15, 0.12, 0.08],
+              6: [0.3, 0.22, 0.18, 0.14, 0.1, 0.06],
+              7: [0.25, 0.2, 0.16, 0.13, 0.11, 0.09, 0.06],
               8: [0.3, 0.2, 0.15, 0.1, 0.1, 0.07, 0.05, 0.03],
               # the mean sorted Dirichlet(1) vector, sum_{k >= i} 1/k / 16, to 4 places
               16: [0.2113, 0.1488, 0.1175, 0.0967, 0.0811, 0.0686, 0.0582, 0.0492,
@@ -197,8 +239,14 @@ GUARD = {
     "accessible-d2": (0.42447234380020527, 0.00033024853186107233),
     "source-d3": (0.03392562668146349, 5.835467012947944e-05),
     "accessible-d3": (0.07800133352722115, 6.858514744626122e-05),
+    "source-d4": (0.0013357070707070706, 3.9042370590303895e-06),
+    "accessible-d4": (0.009668888888888888, 6.090432967973109e-06),
     "source-d5": (6.538593094433334e-05, 2.0558372245660917e-07),
     "accessible-d5": (0.0004495992993395884, 3.654822250612843e-07),
+    "source-d6": (9.064452257332108e-07, 4.7555327650071016e-09),
+    "accessible-d6": (2.219074304552371e-05, 1.1147411612748805e-08),
+    "source-d7": (6.5313936536071225e-09, 6.550064417820237e-11),
+    "accessible-d7": (6.524347914360335e-07, 2.1323873166217936e-10),
     "source-d8": (7.944580704715765e-10, 3.0787452012722907e-12),
     "accessible-d8": (7.279375332889883e-09, 6.628384571855322e-12),
     "source-d16": (1.9804350386513792e-26, 4.770305710732757e-29),

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from entvol.schmidt import (
     partial_sum,
     separable,
 )
+from entvol.source import MeasureReport
 
 
 def svec(*xs):
@@ -57,6 +61,29 @@ def test_canonicalize_errors():
 def test_direct_construction_rejects_non_finite(bad):
     with pytest.raises(errors.NonFinite):
         SchmidtVector((bad, 0.5))
+
+
+def test_records_behave_as_frozen_dataclasses():
+    lam = SchmidtVector((0.5, 0.5))
+    rep = MeasureReport("source", 0.25, 1, 0.5, 0.5, 2)
+    assert lam == SchmidtVector(components=(0.5, 0.5)) and lam != SchmidtVector((1.0, 0.0))
+    assert rep == MeasureReport(quantity="source", volume=0.25, dimension=1, v_sup=0.5,
+                                entanglement=0.5, k=2, abs_err=0.0)
+    assert rep != MeasureReport("source", 0.25, 1, 0.5, 0.5, 2, 1e-3)
+    assert lam != (0.5, 0.5) and len({lam, SchmidtVector((0.5, 0.5)), rep, copy.copy(rep)}) == 2
+    assert repr(lam) == "SchmidtVector(components=(0.5, 0.5))"
+    assert repr(rep) == ("MeasureReport(quantity='source', volume=0.25, dimension=1, v_sup=0.5, "
+                         "entanglement=0.5, k=2, abs_err=0.0)")
+    for record, name in ((lam, "components"), (rep, "abs_err"), (rep, "other")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    for record in (lam, rep):
+        for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert twin == record and type(twin) is type(record)
+    with pytest.raises(errors.ZeroSum):
+        SchmidtVector((0.3, 0.3))
 
 
 def test_partial_sum_examples():
