@@ -43,24 +43,22 @@ from .errors import (
 from .oracle import McConfig, McResult, mc_region_volume, thread_scratch
 from .source import MeasureReport
 
-#: A gamma component of at most this magnitude is zero: :func:`classify` sets
-#: it to exactly 0, once, and every later support test reads those zeros.
-AXIS_TOL = 1e-10
 #: Strict norm bound keeping every G positive definite in double precision.
 GAMMA_NORM_MAX = 0.5 - 1e-12
-#: The one acceptance rule of every conversion row: its twirl probabilities,
-#: clamped into [0, 1], must reproduce the initial gammas from the target's,
-#: max |gamma - eta(probs) (.) zeta| <= CONVERT_TOL (no twirl for the
-#: identity row).  The witness twirls start from eta(probs) (.) zeta, so they
-#: resolve the identity to rounding, and its eta residual stays within
-#: CONVERT_TOL plus rounding.  The same slack matches squared seed parameters
-#: and bounds the tetrahedron in ``eta_solve``.  It never decides support.
+#: The one tolerance of the conversion rows.  :func:`classify` sets every
+#: gamma component of at most this magnitude to exactly 0, once, and every
+#: later support test reads those zeros.  Every row accepts by one rule: its
+#: twirl probabilities, clamped into [0, 1], must reproduce the initial
+#: gammas from the target's, max |gamma - eta(probs) (.) zeta| <= CONVERT_TOL
+#: (no twirl for the identity row).  A component that survives classify
+#: exceeds CONVERT_TOL, so where the target is zero the rule refuses it.  The
+#: witness twirls start from eta(probs) (.) zeta, so they resolve the
+#: identity to rounding, and its eta residual stays within CONVERT_TOL plus
+#: rounding.  The same slack matches squared seed parameters, by default in
+#: ``SeedParams.validate`` too, and bounds the tetrahedron in ``eta_solve``.
 CONVERT_TOL = 1e-9
 #: Least separation of the squared parameters that ``random_seed_params`` draws.
 SEED_MIN_GAP = 0.03
-#: Default slack of ``SeedParams.validate``: squared parameters closer than
-#: this coincide.
-_SEED_TOL = 1e-9
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -96,11 +94,11 @@ class SeedParams:
     def squares(self) -> tuple[complex, complex, complex, complex]:
         return (complex(self.a) ** 2, self.b ** 2, self.c ** 2, self.d ** 2)
 
-    def validate(self, tol: float = _SEED_TOL) -> None:
+    def validate(self, tol: float = CONVERT_TOL) -> None:
         """Raise ``InvalidSeedParams`` unless the parameters label a generic
         class.  A pass at the default ``tol`` is recorded on the instance, so
         later default calls (every ``build_seed``) return at once."""
-        if tol == _SEED_TOL and self.__dict__.get("_valid"):
+        if tol == CONVERT_TOL and self.__dict__.get("_valid"):
             return
         if not all(cmath.isfinite(x) for x in (self.a, self.b, self.c, self.d)):
             raise InvalidSeedParams("seed parameters must be finite")
@@ -116,7 +114,7 @@ class SeedParams:
         for q in _square_ratios(sq, tol):
             if _multisets_match(sq, tuple(q * s for s in sq), tol):
                 raise InvalidSeedParams(f"parameter squares invariant under scaling by {q}")
-        if tol == _SEED_TOL:
+        if tol == CONVERT_TOL:
             object.__setattr__(self, "_valid", True)
 
 
@@ -373,14 +371,14 @@ def classify(form: FourQubitForm) -> Classified:
     """Detect the structure of a state, conservatively, with a near-miss note.
 
     This is where support is decided: every gamma component of magnitude at
-    most ``AXIS_TOL`` is set to exactly 0 before the standard form is taken,
+    most ``CONVERT_TOL`` is set to exactly 0 before the standard form is taken,
     and the classified gammas carry those zeros to the conversion rows, the
     witness and the case volumes.  States outside the convertible family are
     tagged isolated; if zeroing every component of magnitude at most 1e-6
     and running the same rule again places them inside (the seed included),
     the diagnostic records the near-miss instead of silently reclassifying.
     """
-    zeroed = np.where(np.abs(form.gammas) <= AXIS_TOL, 0.0, form.gammas)
+    zeroed = np.where(np.abs(form.gammas) <= CONVERT_TOL, 0.0, form.gammas)
     sf = standard_form(FourQubitForm._derived(form.seed, zeroed))
     g = sf.gammas
     decision = _classify_at(g)
@@ -390,7 +388,7 @@ def classify(form: FourQubitForm) -> Classified:
     if _classify_at(np.where(np.abs(g) <= 1e-6, 0.0, g)) is not None:
         diag = (
             "nearly axis-aligned: off-axis components are below 1e-6 but above "
-            f"the alignment tolerance {AXIS_TOL}; treating as isolated"
+            f"the alignment tolerance {CONVERT_TOL}; treating as isolated"
         )
     return Classified(sf, TAG_ISOLATED, diagnostic=diag)
 
@@ -503,27 +501,17 @@ def _reproduces(gi: np.ndarray, zf: np.ndarray, steps) -> bool:
     return float(np.abs(gi - eta * zf).max()) <= CONVERT_TOL
 
 
-# Each condition takes its candidate twirls from the target's classification.
-# Its support tests (the scaling row's other parties, the rectangle's roles,
-# the single party, the two axis-then-transverse skips) change no verdict
-# outside the band (AXIS_TOL, CONVERT_TOL]; there the skips only choose which
-# valid protocol comes back.  Inside it a stray initial component survives
-# classify yet fits within CONVERT_TOL: without the tests, 1,765 of 54,000
-# band-perturbed pairs turn from "no" into "yes".
+# Each condition yields candidate twirls from the target's classification, and
+# _reproduces alone accepts or refuses them.
 
 def _scaling_condition(ci, cf, zf):
     """Axis components all frozen; one party's transverse pair scales up."""
     p = cf.roles.get("general_party", cf.roles.get("transverse_party"))
-    off = [u for u in range(3) if u != cf.w]
-    # no other initial party has a component off the target's axis
-    if not np.delete(ci.gammas, p, axis=0)[:, off].any():
-        yield ROW_SCALING, [_scaled_step(p, ci.gammas[p], zf[p], cf.w)]
+    yield ROW_SCALING, [_scaled_step(p, ci.gammas[p], zf[p], cf.w)]
 
 
 def _rectangle_condition(ci, cf, zf):
     """Two axis-aligned parties on different axes; both values may only grow."""
-    if ci.roles != cf.roles:
-        return
     (p1, u), (p2, v) = sorted(cf.roles["parties"])
     # each twirl's sigma lies along the other party's axis, leaving that party in place
     yield ROW_RECTANGLE, [_scaled_step(p1, ci.gammas[p1], zf[p1], v),
@@ -532,8 +520,6 @@ def _rectangle_condition(ci, cf, zf):
 
 def _single_party_condition(ci, cf, zf):
     p = cf.roles["party"]
-    if ci.roles.get("party", p) != p:
-        return
     eta = eta_solve(ci.gammas[p], zf[p])
     if eta is None:
         return
@@ -556,6 +542,7 @@ def _axis_then_transverse_condition(ci, cf, zf):
         # from the seed every sign of the axis value reproduces; take the positive one
         if zf[axis_party, w] < 0:
             continue
+        # from one axis party, only the candidate that grows that party's value
         if ci.tag == TAG_AXIS_ONLY and (ci.roles["party"], ci.w) != (axis_party, w):
             continue
         c = next(u for u in range(3) if u != w)

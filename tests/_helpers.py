@@ -2,8 +2,9 @@
 permutation hull of lam), a generic pulling-recursion volume for enumerated
 polytopes, the row-wise Case-III predicate, the per-outcome routes of the
 four-qubit module (square root by eigh, Kronecker chain, classification on
-numpy supports, the witness loop), and the random-state and random-pair
-generators of the four-qubit tests."""
+numpy supports, the witness loop), the Gour-Wallach separable-map test of
+four-qubit verdicts, and the random-state and random-pair generators of the
+four-qubit tests."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linprog
 
 from entvol.errors import CompletenessViolation, NotConvertible
 from entvol.fourqubit import (
@@ -276,6 +278,53 @@ def povm_witness_loop(initial: FourQubitForm, final: FourQubitForm) -> PovmWitne
     )
 
 
+# -- the Gour-Wallach separable-map test, an oracle for every verdict ----------
+#
+# g Psi converts to h Psi by a separable map exactly when some p_k >= 0 give
+# sum_k p_k S_k^dag H S_k = G over the stabilizer {S_k} = {sigma_k^(x4)} of a
+# generic seed, with G = (x)_i g_i^dag g_i and H likewise (every trace is 1,
+# so the scale is 1).  In Pauli strings a in {0, x, y, z}^4 that reads
+# G_a = eta_[a] H_a, eta_[a] being the character of the Klein product [a] of
+# the letters.  LOCC lies inside SEP, so every yes must pass it; it reads
+# neither ``classify`` nor a conversion row.
+
+_SEP_STRINGS = np.array(list(itertools.product(range(4), repeat=4)))[1:]
+_SEP_CLASS = np.bitwise_xor.reduce(_SEP_STRINGS, axis=1)
+#: _SEP_CHI[l, k]: the sign of sigma_l under conjugation by sigma_k.
+_SEP_CHI = np.array([[1.0 if 0 in (k, l) or k == l else -1.0 for k in range(4)] for l in range(4)])
+
+
+def _pauli_strings(gammas) -> np.ndarray:
+    """The 255 non-identity Pauli-string coefficients of (x)_i (1/2 + gamma_i . sigma),
+    each divided by 1/2 per identity letter, so that they read on the gamma
+    scale: the product of the string's gamma components."""
+    c = np.hstack([np.ones((4, 1)), np.asarray(gammas, dtype=float)])
+    return np.prod(c[np.arange(4), _SEP_STRINGS], axis=1)
+
+
+def sep_residual(gi, zf) -> float:
+    """min over probability vectors p of the four Klein signs sigma_k^(x4) of
+    max_a |G_a - eta_[a](p) H_a|, on the gamma scale: 0 exactly when a
+    separable map carries zf to gi.  A Klein sign of the target only
+    relabels p, so the target's sign gauge needs no pass of its own.  HiGHS
+    runs at tolerances of 1e-10; at its default of about 1e-7 it would
+    report 0 for residuals that decide the band."""
+    G, H = _pauli_strings(gi), _pauli_strings(zf)
+    A = H[:, None] * _SEP_CHI[_SEP_CLASS]      # eta_[a](p) H_a, linear in p
+    t = -np.ones((len(A), 1))
+    res = linprog(
+        c=[0.0, 0.0, 0.0, 0.0, 1.0],
+        A_ub=np.vstack([np.hstack([-A, t]), np.hstack([A, t])]),
+        b_ub=np.concatenate([-G, G]),
+        A_eq=[[1.0, 1.0, 1.0, 1.0, 0.0]], b_eq=[1.0],
+        bounds=[(0.0, None)] * 5,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 def fixed_seed_params() -> SeedParams:
     return random_seed_params(np.random.default_rng(2024))
 
@@ -381,3 +430,70 @@ PAIR_GENERATORS = {
     "axis_to_general": random_axis_to_general_pair,
     "seed_to_general": random_seed_to_general_pair,
 }
+
+
+def random_family_gammas(rng) -> np.ndarray:
+    """Gammas of a random structure of the convertible family: one party with
+    one to three components, two axis parties, an axis and a transverse
+    party, a general party beside axis parties, or every active party on one
+    axis; or, one time in six, a random support."""
+    g = np.zeros((4, 3))
+    parties = rng.permutation(4)
+    w = int(rng.integers(3))
+    off = [u for u in range(3) if u != w]
+
+    def val():
+        return rng.choice([-1, 1]) * rng.uniform(0.05, 0.3)
+
+    kind = rng.integers(6)
+    if kind == 0:
+        comps = rng.permutation(3)[:rng.integers(1, 4)]
+        g[parties[0], comps] = [val() for _ in comps]
+    elif kind == 1:
+        g[parties[0], w], g[parties[1], rng.choice(off)] = val(), val()
+    elif kind == 2:
+        g[parties[0], w], g[parties[1], off] = val(), [val(), val()]
+    elif kind == 3:
+        g[parties[0]] = [val(), val(), val()]
+        g[parties[1:1 + rng.integers(1, 4)], w] = val()
+    elif kind == 4:
+        g[parties[:rng.integers(2, 5)], w] = val()
+    else:
+        g = np.where(rng.random((4, 3)) < 0.3, rng.uniform(-0.25, 0.25, (4, 3)), 0.0)
+    return g
+
+
+def random_targeted_pair(rng, seed_params):
+    """A pair aimed at the rows' boundaries: the target from
+    :func:`random_family_gammas`, the initial eta (.) the target, with eta the
+    character of Pauli-pattern probabilities inside the tetrahedron, on a
+    face, an edge or a vertex, or just outside a face.  On a quarter each of
+    the pairs eta then reaches one party only, one party is switched off, or
+    one component flips its sign.  Rows are scaled to norm at most 0.4."""
+    zf = random_family_gammas(rng)
+    p = rng.dirichlet(np.ones(4))
+    where = rng.integers(5)
+    if where == 1:
+        p[rng.integers(4)] = 0.0
+    elif where == 2:
+        p[rng.permutation(4)[:2]] = 0.0
+    elif where == 3:
+        p = np.eye(4)[rng.integers(4)]
+    elif where == 4:
+        p[rng.integers(4)] = -rng.uniform(1e-3, 0.1)
+    eta = _probs_to_eta(p / p.sum())
+    gi = eta * zf
+    twist = rng.integers(4)
+    if twist == 1:
+        q = rng.integers(4)
+        gi = zf.copy()
+        gi[q] = eta * zf[q]
+    elif twist == 2:
+        gi[rng.integers(4)] = 0.0
+    elif twist == 3:
+        gi[rng.integers(4), rng.integers(3)] *= -1.0
+
+    def capped(g):
+        return g * (0.4 / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 0.4))
+
+    return form(seed_params, capped(gi)), form(seed_params, capped(zf))

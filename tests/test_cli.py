@@ -678,10 +678,10 @@ RENDERINGS = [
                  '{"tag": "general_plus_axes", "axis": "x", "roles": {"general_party": 0}, "standard_gammas": [[0.15, 0.2, 0.1], [0.3, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0]]}\n',
                  id="classify_json"),
     pytest.param(("fourqubit", "classify", "--gammas", "1e-7,1e-7,0;1e-7,0,1e-7;0,0,0;0,0,0"),
-                 'class: isolated\nnote: nearly axis-aligned: off-axis components are below 1e-6 but above the alignment tolerance 1e-10; treating as isolated\n',
+                 'class: isolated\nnote: nearly axis-aligned: off-axis components are below 1e-6 but above the alignment tolerance 1e-09; treating as isolated\n',
                  id="classify_note"),
     pytest.param(("fourqubit", "classify", "--gammas", "1e-7,1e-7,0;1e-7,0,1e-7;0,0,0;0,0,0", "--json"),
-                 '{"tag": "isolated", "axis": null, "roles": {}, "standard_gammas": [[1e-07, 1e-07, 0.0], [1e-07, 0.0, 1e-07], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "diagnostic": "nearly axis-aligned: off-axis components are below 1e-6 but above the alignment tolerance 1e-10; treating as isolated"}\n',
+                 '{"tag": "isolated", "axis": null, "roles": {}, "standard_gammas": [[1e-07, 1e-07, 0.0], [1e-07, 0.0, 1e-07], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "diagnostic": "nearly axis-aligned: off-axis components are below 1e-6 but above the alignment tolerance 1e-09; treating as isolated"}\n',
                  id="classify_note_json"),
     pytest.param(("fourqubit", "measures", "--gammas", CASE_III, "--mc-samples", "20000", "--mc-seed", "3"),
                  'class general_one_party: E_s = 0.997505846837 (V_s = 4e-05, dim 3), E_a = 0.552426807472 (V_a = 0.144625, dim 3)\n',

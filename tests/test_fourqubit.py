@@ -10,7 +10,7 @@ import pytest
 
 from entvol import errors
 from entvol.fourqubit import (
-    AXIS_TOL,
+    CONVERT_TOL,
     GAMMA_NORM_MAX,
     KLEIN_SIGNS,
     FourQubitForm,
@@ -44,6 +44,7 @@ from entvol.fourqubit import (
 from entvol.oracle import McConfig
 
 from _helpers import (
+    PAIR_GENERATORS,
     Z3,
     caseiii_predicate_reference,
     classify_at_reference,
@@ -51,6 +52,8 @@ from _helpers import (
     form,
     kron_chain,
     random_iiia_pair,
+    random_targeted_pair,
+    sep_residual,
     sqrt_g_eigh,
     standard_signs_reference,
 )
@@ -308,9 +311,9 @@ def test_classify_near_miss_diagnostic():
 
 
 def test_tiny_supports_keep_their_tag_and_note_the_near_miss():
-    # magnitude 1e-7 lies in (AXIS_TOL, 1e-6]: the exact support decides the tag,
+    # magnitude 1e-7 lies in (CONVERT_TOL, 1e-6]: the exact support decides the tag,
     # and the near-miss pass zeroes it all, which is the seed, in the family
-    assert AXIS_TOL < 1e-7 <= 1e-6
+    assert CONVERT_TOL < 1e-7 <= 1e-6
     for mask in range(1, 1 << 12):
         support = np.array([mask >> b & 1 for b in range(12)], float).reshape(4, 3)
         tiny, plain = classify(F(1e-7 * support)), classify(F(0.1 * support))
@@ -447,13 +450,43 @@ def test_convert_party_labels_are_rigid():
      "axis_then_transverse"),
 ], ids=["scaling", "rectangle", "single_party", "axis_then_transverse"])
 def test_convert_rows_refuse_a_stray_band_component(initial, final, row_without_stray):
-    # the stray 5e-10 lies in (AXIS_TOL, CONVERT_TOL]: classify keeps it, and
-    # the twirls would reproduce it to CONVERT_TOL, so only the row's support
-    # test refuses the pair
-    v = can_convert(F(initial), F(final))
+    # a stray of 5e-10 is at most CONVERT_TOL, so classify zeroes it and the
+    # pair converts by the row it takes without the stray; a stray of 2e-9,
+    # just above the one tolerance, survives, and the acceptance rule alone
+    # refuses it, since the target is zero there
+    initial = np.array(initial, dtype=float)
+    stray = initial == 5e-10
+    assert can_convert(F(initial), F(final)).row == row_without_stray
+    assert can_convert(F(np.where(stray, 0.0, initial)), F(final)).row == row_without_stray
+    v = can_convert(F(np.where(stray, 2e-9, initial)), F(final))
     assert (v.convertible, v.detail) == (False, "no transformation row applies")
-    cleaned = np.where(np.abs(initial) == 5e-10, 0.0, initial)
-    assert can_convert(F(cleaned), F(final)).row == row_without_stray
+
+
+def test_sep_oracle_agrees_with_can_convert():
+    # Gour-Wallach's separable-map test reads neither classify nor a row: a
+    # residual below 1e-10 is a yes and one above CONVERT_TOL a no, and
+    # can_convert must agree outside that band, refusals included
+    rng = np.random.default_rng(2300)
+    pairs = []
+    for gen in PAIR_GENERATORS.values():
+        for _ in range(20):
+            a, b = gen(rng, SEED)
+            pairs += [(a, b), (b, a)]
+    # the target's Klein sign only relabels the separable map's probabilities
+    for a, b in pairs[::40]:
+        r = sep_residual(a.gammas, b.gammas)
+        for s in KLEIN_SIGNS:
+            assert abs(sep_residual(a.gammas, s * b.gammas) - r) <= 1e-12
+    pairs += [random_targeted_pair(rng, SEED) for _ in range(600)]
+    verdicts = []
+    for a, b in pairs:
+        r = sep_residual(a.gammas, b.gammas)
+        yes = bool(can_convert(a, b))
+        if not 1e-10 <= r <= CONVERT_TOL:
+            assert yes == (r < 1e-10), (a.gammas.tolist(), b.gammas.tolist(), r)
+        verdicts.append(yes)
+    # both verdicts are well represented
+    assert 0.3 < np.mean(verdicts) < 0.7
 
 
 def test_convert_transitive_chains():
