@@ -23,11 +23,27 @@ block chambers, and the recursion reads
 
     V(a, b) = 1/(n-1) * sum_(a<k<b) h(a, k, b) V(a, k) V(k, b),  V(a, a+1) = 1.
 
-Every term is nonnegative and nothing divides by a lam-dependent quantity,
-so there is no cancellation and ties or trailing zeros need no special case.
-E_s = 1 - V(0, d) / V_sorted, the separable state's chamber being the whole
-sorted region.  At d = 1 the single point (1,) is that whole region, so
-E_s = 0.
+Its square roots cancel: R(a, b) = V(a, b) / sqrt(n) obeys
+
+    R(a, b) = 1/(n-1) * sum_(a<k<b) g(a, k, b) R(a, k) R(k, b),  R(a, a+1) = 1,
+    g(a, k, b) = Lam_k - Lam_a - m (Lam_b - Lam_a) / n,
+
+so the volume is a polynomial in lam with rational coefficients.  R shrinks
+like 1/((n-1)! n!), and underflows from about n = 128.  The scaled
+rho(a, b) = (n-1)! n! R(a, b) is (Lam_b - Lam_a)^(n-1) times the fraction of
+the block's sorted region that its chamber fills, and obeys
+
+    rho(a, b) = sum_(m=1..n-1) C(n-2, m-1) C(n, m) g(a, a+m, b) rho(a, a+m) rho(a+m, b),
+
+with rho(a, a+1) = 1 and rho(a, a+2) = lam_(a+1) - lam_(a+2).  The integer
+weights depend on n only.  Every term is nonnegative and nothing divides by
+a lam-dependent quantity, so there is no cancellation, and ties or trailing
+zeros need no special case.  Since sorted_region_volume(d) =
+sqrt(d) / ((d-1)! d!), rho(0, d) is the chamber's volume as a fraction of the
+whole sorted region: it is exactly 1 on the separable state, whose chamber is
+that region, so E_s = 1 - rho(0, d) and V_s = rho(0, d) * V_sorted.  E_s never
+divides by a volume, so it keeps its precision where V_s underflows.  At
+d = 1 the single point (1,) is the whole region, so E_s = 0.
 
 The module imports no numpy, so that ``entvol bipartite source`` and
 ``convert`` start without it; ``bipartite`` re-exports every name here.
@@ -35,15 +51,24 @@ The module imports no numpy, so that ``entvol bipartite source`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from .errors import DimensionTooLarge, IndexOutOfRange, ShrinkNotAllowed
 from .schmidt import FrozenRecord, SchmidtVector, embed, maximally_entangled, sorted_region_volume
 
-#: Largest Schmidt rank the source measures accept; their precision is tested
-#: up to here (E_s within 1e-13 of 0 on the separable state, of 1 on the flat).
-MAX_EXACT_DIM = 16
+#: Largest Schmidt rank the source measures accept: the last d whose
+#: sorted_region_volume(d), and so V_s, is a float.  E_s is tested up to here
+#: (within 1e-13 of 0 on the separable state, of 1 on the flat one).
+MAX_EXACT_DIM = 98
+
+#: Smallest flat-state E_s that source_entanglement_k divides by.  E_s is
+#: 1 - rho(0, d) with rho near 1, so its error is absolute, 4e-14 at most on
+#: the tested states, and E_s^k near this floor is within about 1e-7 of the
+#: exact ratio.  It binds only for small d at large k: d = 2 from k = 26,
+#: d = 3 from 45, d = 4 from 64, d = 5 from 83, never for d >= 6.
+_MIN_SOURCE_SUP = 1e-6
 
 
 class MeasureReport(FrozenRecord):
@@ -63,25 +88,35 @@ class MeasureReport(FrozenRecord):
         self._set(quantity, volume, dimension, v_sup, entanglement, k, abs_err)
 
 
-def _chamber_volume(lam: tuple[float, ...]) -> float:
-    """Intrinsic (d-1)-volume of the sorted source chamber, by the face recursion.
+@functools.lru_cache(maxsize=None)
+def _face_weights(n: int) -> tuple[float, ...]:
+    """The weights C(n-2, m-1) C(n, m), m = 1..n-1, of the rho recursion."""
+    return tuple(float(math.comb(n - 2, m - 1) * math.comb(n, m)) for m in range(1, n))
 
-    ``vol[a][b]`` is the volume of the block chamber over components a+1..b
-    with the partial sums at a and b tight (see the module docstring).
+
+def _chamber_volume(lam: tuple[float, ...]) -> float:
+    """Volume of the sorted source chamber over that of the sorted region.
+
+    ``rho[a][b]`` is rho(a, b) of the module docstring, the scaled volume of
+    the block chamber over components a+1..b; rho(0, d) is the fraction.
     """
     d = len(lam)
     cum = list(itertools.accumulate(lam, initial=0.0))
-    vol = [[1.0] * (d + 1) for _ in range(d + 1)]
-    for n in range(2, d + 1):
+    rho = [[1.0] * (d + 1) for _ in range(d + 1)]
+    for a in range(d - 1):
+        rho[a][a + 2] = lam[a] - lam[a + 1]
+    for n in range(3, d + 1):
+        weights = _face_weights(n)
         for a in range(d - n + 1):
             b = a + n
-            slope = (cum[b] - cum[a]) / n
+            base = cum[a]
+            slope = (cum[b] - base) / n
+            row = rho[a]
             total = 0.0
-            for m in range(1, n):
-                h = (cum[a + m] - cum[a] - m * slope) / math.sqrt(m * (n - m) / n)
-                total += h * vol[a][a + m] * vol[a + m][b]
-            vol[a][b] = total / (n - 1)
-    return vol[0][d]
+            for k, w in enumerate(weights, a + 1):
+                total += w * (cum[k] - base - (k - a) * slope) * row[k] * rho[k][b]
+            row[b] = total
+    return rho[0][d]
 
 
 def source_volume(lam: SchmidtVector) -> float:
@@ -93,14 +128,14 @@ def source_entanglement(lam: SchmidtVector) -> MeasureReport:
     """Source entanglement; 0 on the separable state, 1 on the flat state."""
     if lam.d > MAX_EXACT_DIM:
         raise DimensionTooLarge(f"d={lam.d} exceeds the source cap {MAX_EXACT_DIM}")
-    vol = _chamber_volume(lam.components)
+    fraction = _chamber_volume(lam.components)
     sup = sorted_region_volume(lam.d)
     return MeasureReport(
         quantity="source",
-        volume=vol,
+        volume=fraction * sup,
         dimension=lam.d - 1,
         v_sup=sup,
-        entanglement=1.0 - vol / sup,
+        entanglement=1.0 - fraction,
         k=lam.d,
     )
 
@@ -119,13 +154,20 @@ def source_entanglement_k(lam: SchmidtVector, k: int) -> MeasureReport:
     """Generalized source entanglement against source states of dimension k >= d.
 
     It is normalized by the flat state's value, which vanishes at d = 1 (the
-    flat state is then the separable one), so d >= 2 is required.
+    flat state is then the separable one), so d >= 2 is required.  That value
+    falls about like k (1 - 1/d)^(k-1); below _MIN_SOURCE_SUP the ratio would
+    lose more than about seven digits to rounding, so such a k raises
+    DimensionTooLarge.
     """
     if lam.d < 2:
         raise IndexOutOfRange("the k-embedded source entanglement needs d >= 2")
     if k < lam.d:
         raise ShrinkNotAllowed(f"k={k} smaller than d={lam.d}")
     sup = source_entanglement_sup(lam.d, k)
+    if sup < _MIN_SOURCE_SUP:
+        raise DimensionTooLarge(
+            f"k={k} for d={lam.d}: the flat state's E_s is {sup:.3g} there, below "
+            f"{_MIN_SOURCE_SUP:g}, so E_s^k is not resolved")
     big = source_entanglement(embed(lam, k))
     return MeasureReport(
         quantity="source",

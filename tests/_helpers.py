@@ -1,5 +1,5 @@
 """Shared test helpers: the d!-term source oracles (the signed sum and the
-permutation hull of lam), a generic pulling-recursion volume for enumerated
+permutation hull of lam), the source face recursion in rationals, a generic pulling-recursion volume for enumerated
 polytopes, the row-wise Case-III predicate, the per-outcome routes of the
 four-qubit module (square root by eigh, Kronecker chain, classification on
 numpy supports, the witness loop), the Gour-Wallach separable-map test of
@@ -76,6 +76,25 @@ def permutation_sum_exact(lam) -> Fraction:
     total = sum(w * (2 * sum(si * ni for si, ni in zip(s, n)) - (d + 1) * D) ** (d - 1)
                 for s, w in zip(perms, weights))
     return Fraction(total, lcm * (2 * D) ** (d - 1))
+
+
+def source_rho_exact(lam) -> Fraction:
+    """rho(0, d) of the source face recursion (``entvol.source``) in exact
+    rationals, on the components as given (each float is a dyadic rational),
+    with no closed form for two-component blocks: the source chamber's volume
+    as a fraction of the sorted region's, so that E_s = 1 - rho(0, d)."""
+    lam = [Fraction(float(x)) for x in lam]
+    d = len(lam)
+    cum = [Fraction(0), *itertools.accumulate(lam)]
+    rho = [[Fraction(1)] * (d + 1) for _ in range(d + 1)]
+    for n in range(2, d + 1):
+        for a in range(d - n + 1):
+            b = a + n
+            slope = (cum[b] - cum[a]) / n
+            rho[a][b] = sum(math.comb(n - 2, m - 1) * math.comb(n, m)
+                            * (cum[a + m] - cum[a] - m * slope) * rho[a][a + m] * rho[a + m][b]
+                            for m in range(1, n))
+    return rho[0][d]
 
 
 # -- the permutation hull of lam, the source set over unsorted vectors ---------

@@ -42,6 +42,7 @@ from _helpers import (
     permutation_sum_exact,
     pulling_volume,
     source_polytope_adjacency,
+    source_rho_exact,
     source_polytope_vertices,
 )
 
@@ -122,6 +123,17 @@ def test_source_recursion_matches_float_sum_d9():
     assert abs(source_entanglement(lam).entanglement - expected) <= 1e-10
 
 
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_source_recursion_matches_exact_recursion(d):
+    # the float recursion against the same recursion in rationals; at d = 64
+    # one Dirichlet vector (about 3 s in rationals)
+    rng = np.random.default_rng(70 + d)
+    vectors = _source_test_vectors(d, rng)
+    for lam in vectors[:1] if d == 64 else vectors:
+        exact = 1 - source_rho_exact(lam.components)
+        assert abs(source_entanglement(lam).entanglement - float(exact)) <= 1e-13
+
+
 @pytest.mark.parametrize("d", range(12, MAX_EXACT_DIM + 1))
 def test_source_boundaries_large_rank(d):
     assert abs(source_entanglement(separable(d)).entanglement) <= 1e-13
@@ -149,6 +161,18 @@ def test_source_entanglement_k_rank3_in_dim4():
     assert source_entanglement_k(lam, 4).entanglement == pytest.approx(target, abs=1e-9)
     flat = maximally_entangled(3)
     assert source_entanglement_k(flat, 4).entanglement == pytest.approx(1.0, abs=1e-12)
+
+
+def test_source_entanglement_k_resolution_floor():
+    # the flat rank-2 state's E_s is 1.5e-6 at k = 25 and 7.5e-7 at k = 26
+    lam = canonicalize([0.6, 0.4])
+    exact = ((1 - source_rho_exact(embed(lam, 25).components))
+             / (1 - source_rho_exact(embed(maximally_entangled(2), 25).components)))
+    assert abs(source_entanglement_k(lam, 25).entanglement - float(exact)) <= 1e-6
+    with pytest.raises(errors.DimensionTooLarge):
+        source_entanglement_k(lam, 26)
+    with pytest.raises(errors.DimensionTooLarge):
+        source_entanglement_k(canonicalize([0.4, 0.3, 0.2, 0.1]), MAX_EXACT_DIM)
 
 
 def test_source_sup_value():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from entvol import oracle
-from entvol.bipartite import MAX_ACCESSIBLE_DIM
+from entvol.bipartite import MAX_ACCESSIBLE_DIM, MAX_EXACT_DIM
 from entvol.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -411,8 +411,13 @@ def test_non_finite_input_is_domain_error(capsys, argv, error):
 
 @pytest.mark.parametrize("argv,expected", [
     (["bipartite", "accessible", "--schmidt", ",".join(["1"] * (MAX_ACCESSIBLE_DIM + 1))], 2),
-    (["bipartite", "source", "--schmidt", ",".join(["1"] * 16)], 0),
-    (["bipartite", "source", "--schmidt", ",".join(["1"] * 17)], 2),
+    (["bipartite", "source", "--schmidt", ",".join(["1"] * MAX_EXACT_DIM)], 0),
+    (["bipartite", "source", "--schmidt", ",".join(["1"] * (MAX_EXACT_DIM + 1))], 2),
+    (["bipartite", "source", "--schmidt", ",".join(["1"] * 16), "--k", str(MAX_EXACT_DIM)], 0),
+    # the flat rank-4 state's E_s at k = 98 is 7.5e-11, below the floor that
+    # source_entanglement_k divides by
+    (["bipartite", "source", "--schmidt", "0.4,0.3,0.2,0.1", "--k", str(MAX_EXACT_DIM)], 2),
+    (["bipartite", "source", "--schmidt", "0.4,0.3,0.2,0.1", "--k", str(MAX_EXACT_DIM + 1)], 2),
 ])
 def test_rank_caps(capsys, argv, expected):
     code, out, err = run(capsys, *argv, "--json")
@@ -426,8 +431,7 @@ def test_rank_caps(capsys, argv, expected):
 
 @pytest.mark.parametrize("command,rank", [
     ("accessible", MAX_ACCESSIBLE_DIM + 1),
-    ("source", 17),
-    ("source", 99),
+    ("source", MAX_EXACT_DIM + 1),
     ("accessible", 99),
 ])
 def test_oracle_refuses_over_cap_rank_before_sampling(capsys, monkeypatch, command, rank):
@@ -720,7 +724,7 @@ RENDERINGS = [
                  '{"volume": 1.0, "dimension": 2, "vertices": 4, "simple": true, "brion_volume": 1.0}\n',
                  id="volume_json"),
     pytest.param(("bipartite", "sweep", "--from-schmidt", "0.5,0.5", "--to-schmidt", "1,0", "--steps", "3"),
-                 'step,lambda_1,lambda_2,V_s,V_a,E_s,E_a,accessible_vertices,V_a_dim\n0,0.5,0.5,0,0.707106781187,1,1,2,1\n1,0.75,0.25,0.353553390593,0.353553390593,0.5,0.5,2,1\n2,1,0,0.707106781187,0,1.11022302463e-16,0,1,0\n',
+                 'step,lambda_1,lambda_2,V_s,V_a,E_s,E_a,accessible_vertices,V_a_dim\n0,0.5,0.5,0,0.707106781187,1,1,2,1\n1,0.75,0.25,0.353553390593,0.353553390593,0.5,0.5,2,1\n2,1,0,0.707106781187,0,0,0,1,0\n',
                  id="bipartite_sweep"),
     pytest.param(("fourqubit", "sweep", "--from-gammas", ZERO_GAMMAS, "--to-gammas", "0.4,0,0;0,0,0;0,0,0;0,0,0", "--steps", "3"),
                  'step,class,gamma_1x,gamma_1y,gamma_1z,gamma_2x,gamma_2y,gamma_2z,gamma_3x,gamma_3y,gamma_3z,gamma_4x,gamma_4y,gamma_4z,V_s,V_s_dim,V_a,V_a_dim,E_s,E_a\n0,seed,0,0,0,0,0,0,0,0,0,0,0,0,0,0,7.59218224618,3,1,1\n1,axis_only,0.2,0,0,0,0,0,0,0,0,0,0,0,0.2,1,0.409977841293,3,0.6,0.569454545455\n2,axis_only,0.4,0,0,0,0,0,0,0,0,0,0,0,0.4,1,0.125140107368,3,0.2,0.173818181818\n',
