@@ -1,10 +1,10 @@
 """Shared test helpers: the d!-term source oracles (the signed sum and the
-permutation hull of lam), the source face recursion in rationals, a generic pulling-recursion volume for enumerated
-polytopes, the row-wise Case-III predicate, the per-outcome routes of the
-four-qubit module (square root by eigh, Kronecker chain, classification on
-numpy supports, the witness loop), the Gour-Wallach separable-map test of
-four-qubit verdicts, and the random-state and random-pair generators of the
-four-qubit tests."""
+permutation hull of lam), the source face recursion in rationals, a generic
+pulling-recursion volume for enumerated polytopes, the row-wise Case-III
+predicate, the per-outcome routes of the four-qubit module (square root by
+eigh, Kronecker chain, classification on numpy supports, the witness loop),
+the Gour-Wallach separable-map test of four-qubit verdicts, and the
+random-state and random-pair generators of the four-qubit tests."""
 
 from __future__ import annotations
 

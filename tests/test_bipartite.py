@@ -42,8 +42,8 @@ from _helpers import (
     permutation_sum_exact,
     pulling_volume,
     source_polytope_adjacency,
-    source_rho_exact,
     source_polytope_vertices,
+    source_rho_exact,
 )
 
 SQ2 = math.sqrt(2)
